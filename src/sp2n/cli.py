@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success or suite pass, 1 verdict mismatch under --expect,
-2 usage error, 3 suite failure.
+2 usage error, 3 suite failure, 4 work limit exceeded (--sweep-limit or
+SWEEP_LIMIT).
 """
 
 import argparse
@@ -22,12 +23,12 @@ from .elements import (
     gamma_graph,
     omega_n_eigenvalue_orders,
     parse_element,
-    singer_height,
+    singer_height_fast,
     singer_index_element,
 )
 from .harness import SUITE_NAMES, run_suite
 from .reps import ModuleKind, has_zero_weight, weight_set
-from .tori import enumerate_shapes, parse_torus_label, singer_index, torus_order
+from .tori import SweepLimitError, enumerate_shapes, parse_torus_label, singer_index, torus_order
 from .weights import Weight, dominant_members, from_eps, parse_weight
 
 
@@ -56,7 +57,7 @@ def _verdict_exit(args, decision: str) -> int:
 
 
 def _cmd_si(args) -> int:
-    value, witness = singer_height(args.n)
+    value, witness = singer_height_fast(args.n)
     payload = {"n": str(args.n), "si": str(value), "witness": [str(p) for p in sorted(witness)]}
     _emit(args, payload, [f"Si({args.n}) = {value}  witness parts: {sorted(witness)}"])
     return 0
@@ -91,7 +92,7 @@ def _cmd_weights(args) -> int:
         "has_zero_weight": zero,
     }
     lines = [
-        f"weights: {len(ws)}",
+        f"weights: {payload['cardinality']}",
         "dominant members: " + "; ".join(str(m) for m in dom),
         f"zero weight: {'yes' if zero else 'no'}",
     ]
@@ -262,9 +263,9 @@ def cli_main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.fn(args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, SweepLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 4 if isinstance(exc, SweepLimitError) else 2
 
 
 def main() -> None:

@@ -13,13 +13,13 @@ from .elements import (
     SemisimpleElement,
     generator_tuples,
     has_eigenvalue_one_omega_n,
-    singer_height,
+    singer_height_fast,
     singer_index_element,
     to_torus_element,
 )
 from .reps import ModuleKind, twist_decompose, weight_set
-from .tori import TorusShape, eval_weight, singer_index, t_sharp, trivial_constituent
-from .weights import Weight, delta, fundamental, gamma, is_radical
+from .tori import TorusShape, _eval_residues, residues, singer_index, t_sharp, trivial_constituent
+from .weights import Weight, delta, fundamental, gamma, is_radical, to_eps
 
 YES = "yes"
 NO = "no"
@@ -64,7 +64,7 @@ def unisingular(w: Weight) -> Verdict:
     if w.coeffs[-1] == 0:
         bad = gamma(w) == 1 and delta(w) % 2 == 1  # w is an odd fundamental weight
         return Verdict(NO if bad else YES, ("Thm-si1",))
-    ok = delta(w) >= n + singer_height(n)[0]
+    ok = delta(w) >= n + singer_height_fast(n)[0]
     return Verdict(YES if ok else NO, ("Thm-si1", "Thm-fr1"))
 
 
@@ -119,11 +119,6 @@ def torus_trivial(w: Weight, shape: TorusShape) -> Verdict:
     return Verdict(YES if found else NO, ("direct",), fallback_used=True)
 
 
-def _direct_has_one(w: Weight, g: SemisimpleElement, us: tuple[int, ...]) -> bool:
-    t = to_torus_element(g, us)
-    return any(eval_weight(mu, t) == 0 for mu in weight_set(w, ModuleKind.IRREDUCIBLE_2))
-
-
 def element_has_one(w: Weight, g: SemisimpleElement) -> Verdict:
     """Eigenvalue 1 of one semisimple element on the irreducible of highest weight w."""
     _check_restricted(w)
@@ -138,7 +133,8 @@ def element_has_one(w: Weight, g: SemisimpleElement) -> Verdict:
     if gamma(w) != 1:
         return Verdict(YES, ("Lem-cc2",))
     # odd fundamental weight: evaluate directly, over every generator choice
-    results = {_direct_has_one(w, g, us) for us in generator_tuples(g)}
+    rows = residues(weight_set(w, ModuleKind.IRREDUCIBLE_2), to_torus_element(g).shape)
+    results = {0 in _eval_residues(rows, to_torus_element(g, us)) for us in generator_tuples(g)}
     if results == {True}:
         return Verdict(YES, ("direct",), fallback_used=True)
     if results == {False}:
@@ -157,16 +153,9 @@ def th7_blocks(w: Weight, block_sizes: list[int], kind: ModuleKind = ModuleKind.
         raise ValueError("block sizes must be positive")
     if sum(block_sizes) > w.rank:
         raise ValueError(f"blocks cover {sum(block_sizes)} coordinates, rank is {w.rank}")
-    spans = []
-    pos = 0
-    for b in block_sizes:
-        spans.append((pos, pos + b))
-        pos += b
-    for mu in weight_set(w, kind):
-        c = mu.coords
-        if not any(all(c[i] == 0 for i in range(lo, hi)) for lo, hi in spans):
-            return False
-    return True
+    # an orbit has a weight nonzero on all s disjoint spans iff its weights have >= s nonzero coordinates
+    s = len(block_sizes)
+    return all(sum(1 for c in to_eps(mu).coords if c) < s for mu in weight_set(w, kind).reps)
 
 
 def p88_guarantee(g: SemisimpleElement) -> bool:

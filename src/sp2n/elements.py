@@ -147,7 +147,7 @@ def singer_height_fast(n: int) -> tuple[int, frozenset[int]]:
 
 def max_singer_element(n: int) -> SemisimpleElement:
     """An element of rank n whose Singer index attains the Singer height."""
-    _, witness = singer_height(n)
+    _, witness = singer_height_fast(n)
     blocks = [(p, 2**p + 1, -1) for p in sorted(witness)]
     blocks += [(1, 1, 1)] * (n - sum(sorted(witness)))
     return SemisimpleElement(tuple(blocks))

@@ -10,6 +10,9 @@ all subdominant weights).  The single exceptional case is a 2-restricted
 irreducible with a_n = 1, where the module is the tensor product of the
 a_n = 0 part with the spin-like module of highest weight w_n, and the
 weight set is the corresponding Minkowski sum.
+
+Each weight set is a union of Weyl orbits (Humphreys, Introduction to Lie
+Algebras and Representation Theory, 13.4), held by its dominant weights.
 """
 
 from enum import Enum
@@ -22,10 +25,12 @@ from .weights import (
     contains_zero,
     delta,
     dominant_below,
+    from_eps,
     fundamental,
     is_radical,
     to_eps,
     weyl_orbit,
+    zero_weight,
 )
 
 
@@ -55,33 +60,24 @@ def _validate(w: Weight, kind: ModuleKind) -> None:
 def _weight_set_cached(coeffs: tuple[int, ...], kind: ModuleKind) -> WeightSet:
     w = Weight(coeffs)
     if kind is ModuleKind.WEYL or coeffs[-1] == 0:
-        return _saturated(w)
+        return WeightSet(w.rank, dominant_below(w))
     # a_n = 1: tensor factorization; w - w_n has a_n = 0, no recursion needed
     wn = fundamental(w.rank, w.rank)
     return minkowski_sum(_weight_set_cached((w - wn).coeffs, ModuleKind.IRREDUCIBLE_2),
                          weyl_orbit(to_eps(wn)))
 
 
-def _saturated(w: Weight) -> WeightSet:
-    members: set[EpsWeight] = set()
-    for mu in dominant_below(w):
-        members |= weyl_orbit(to_eps(mu)).members
-    return WeightSet(w.rank, frozenset(members), weyl_closed=True)
-
-
 def minkowski_sum(a: WeightSet, b: WeightSet) -> WeightSet:
-    """{x + y : x in a, y in b}, deduplicated."""
+    """{x + y : x in a, y in b}: both sets are Weyl-stable, so the sum is the
+    union of the orbits of r + y over the representatives r of one set and
+    the members y of the other, whichever choice gives fewer pairs."""
     if a.rank != b.rank:
         raise ValueError(f"rank mismatch: {a.rank} vs {b.rank}")
-    small, big = sorted((a, b), key=len)
-    big_coords = [m.coords for m in big.members]
-    sums: set[tuple[int, ...]] = set()
-    for s in small.members:
-        sc = s.coords
-        for bc in big_coords:
-            sums.add(tuple(x + y for x, y in zip(sc, bc)))
-    return WeightSet(a.rank, frozenset(EpsWeight(t) for t in sums),
-                     a.weyl_closed and b.weyl_closed)
+    if len(a.reps) * len(b) > len(b.reps) * len(a):
+        a, b = b, a
+    sums = {tuple(sorted((abs(x + y) for x, y in zip(rc, m.coords)), reverse=True))
+            for rc in [to_eps(r).coords for r in a.reps] for m in b}
+    return WeightSet(a.rank, (from_eps(EpsWeight(c)) for c in sums))
 
 
 def has_zero_weight(w: Weight, kind: ModuleKind = ModuleKind.IRREDUCIBLE_2) -> bool:
@@ -132,22 +128,13 @@ def g_effective_weight_set(w: Weight) -> WeightSet:
 @lru_cache(maxsize=None)
 def _g_effective_cached(coeffs: tuple[int, ...]) -> WeightSet:
     w = Weight(coeffs)
-    acc = WeightSet(w.rank, frozenset({EpsWeight((0,) * w.rank)}), weyl_closed=True)
+    acc = WeightSet(w.rank, (zero_weight(w.rank),))
     for _, mu in twist_decompose(w):
         acc = minkowski_sum(acc, weight_set(mu, ModuleKind.IRREDUCIBLE_2))
     return acc
 
 
 def zero_in_weight_set(w: Weight, kind: ModuleKind = ModuleKind.IRREDUCIBLE_2) -> bool:
-    """Exact membership of the zero weight, computed set-theoretically.
-
-    Identical to `contains_zero(weight_set(w, kind))` but avoids
-    materializing the Minkowski sum in the a_n = 1 case: zero lies in
-    A + B iff A meets -B, and the orbit of w_n is symmetric.
-    """
-    _validate(w, kind)
-    if kind is ModuleKind.WEYL or w.coeffs[-1] == 0:
-        return contains_zero(weight_set(w, kind))
-    wn = fundamental(w.rank, w.rank)
-    sat = weight_set(w - wn, ModuleKind.IRREDUCIBLE_2)
-    return any(m in sat.members for m in weyl_orbit(to_eps(wn)).members)
+    """Exact membership of the zero weight: the zero orbit is one of the
+    representatives of the weight set."""
+    return contains_zero(weight_set(w, kind))

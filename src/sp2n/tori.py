@@ -6,15 +6,18 @@ On the canonical diagonal form of a block the epsilon coordinate at
 offset j evaluates on the block generator as zeta^(2^j), so a weight
 restricts to a block as the residue sum(c_j * 2^j) modulo the factor
 order.  All wrap-around relations are automatic in the modular
-arithmetic.
+arithmetic.  `residues` is the one engine evaluating weight sets on tori
+and their elements; it works orbit by orbit and lists no orbit.
 """
 
 import os
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
-from .weights import EpsWeight, WeightSet
+from .weights import EpsWeight, WeightSet, to_eps
 
 DEFAULT_SWEEP_LIMIT = 10**6
 
@@ -141,11 +144,47 @@ def restricts_trivially(mu: EpsWeight, shape: TorusShape) -> bool:
     return not any(block_sums(mu, shape))
 
 
-def trivial_constituent(ws: WeightSet, shape: TorusShape) -> bool:
-    """True when some weight of ws restricts trivially to the torus."""
+def residues(ws: WeightSet, shape: TorusShape) -> frozenset[tuple[int, ...]]:
+    """The distinct tuples `block_sums(mu, shape)` over the weights mu of ws."""
     if ws.rank != shape.rank:
         raise ValueError(f"rank mismatch: {ws.rank} vs {shape.rank}")
-    return any(restricts_trivially(mu, shape) for mu in ws.members)
+    codes = set()
+    for w in ws.reps:
+        codes.update(_residue_codes(shape.blocks, to_eps(w).coords))
+    orders = factor_orders(shape)
+    strides = [prod(orders[i + 1:]) for i in range(len(orders))]
+    return frozenset(tuple(c // st % o for st, o in zip(strides, orders)) for c in codes)
+
+
+@lru_cache(maxsize=1 << 14)
+def _residue_codes(blocks: tuple[tuple[int, int], ...], mags: tuple[int, ...]) -> tuple[int, ...]:
+    """Residue tuples r of the signed arrangements of the sorted magnitudes
+    `mags` over `blocks`, each packed as sum(r_i * product of later orders):
+    the first block is filled position by position, keeping the unplaced
+    magnitudes and partial residue, then joined with the later blocks.
+    The result holds one code per distinct tuple, never one per torus element."""
+    if not blocks:
+        return (0,)
+    (k, s), later = blocks[0], blocks[1:]
+    o = 2**k - s
+    stride = prod(2**b - t for b, t in later)
+    states = {(mags, 0)}
+    for j in range(k):
+        filled = set()
+        for left, r in states:
+            for i, v in enumerate(left):
+                if i and left[i - 1] == v:
+                    continue  # equal magnitudes give equal arrangements
+                rest = left[:i] + left[i + 1:]
+                filled.add((rest, (r + (v << j)) % o))
+                filled.add((rest, (r - (v << j)) % o))
+        states = filled
+    return tuple({r * stride + c for rest, r in states for c in _residue_codes(later, rest)})
+
+
+def trivial_constituent(ws: WeightSet, shape: TorusShape) -> bool:
+    """True when some weight of ws restricts trivially to the torus."""
+    return (0,) * len(shape.blocks) in residues(ws, shape)
 
 
 def occurs_in_omega_n(residues: tuple[int, ...], shape: TorusShape) -> bool:
@@ -162,10 +201,16 @@ def eval_weight(mu: EpsWeight, t: TorusElement) -> int:
 
     Zero means the character value is 1.
     """
+    return next(_eval_residues([block_sums(mu, t.shape)], t))
+
+
+def _eval_residues(rows: Iterable[tuple[int, ...]], t: TorusElement) -> Iterator[int]:
+    """Values at t, modulo lcm of the factor orders, of the characters whose
+    block residues are the tuples in rows."""
     orders = factor_orders(t.shape)
     L = lcm(*orders)
-    rs = block_sums(mu, t.shape)
-    return sum((L // o) * m * r for o, m, r in zip(orders, t.exponents, rs)) % L
+    coefs = [(L // o) * m for o, m in zip(orders, t.exponents)]
+    return (sum(c * r for c, r in zip(coefs, rs)) % L for rs in rows)
 
 
 def sweep_limit(explicit: int | None = None) -> int:
@@ -192,8 +237,8 @@ def unisingular_on_torus(ws: WeightSet, shape: TorusShape, limit: int | None = N
     coefs = [L // o for o in orders]
     # rows with vanishing residues sort first so sweeps short-circuit early
     rows = sorted(
-        (tuple(c * r for c, r in zip(coefs, block_sums(mu, shape))) for mu in ws.members),
-        key=lambda row: sum(row),
+        (tuple(c * r for c, r in zip(coefs, rs)) for rs in residues(ws, shape)),
+        key=sum,
     )
     if rows and not any(rows[0]):
         return True  # a weight trivial on the whole torus covers every element

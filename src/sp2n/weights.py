@@ -11,8 +11,10 @@ subtraction search (`dominates_oracle`) is the definition of record and
 the two are cross-checked exhaustively by the test suite.
 """
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations, product
+from functools import cached_property
+from math import factorial
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,30 +85,35 @@ class EpsWeight:
 
 @dataclass(frozen=True)
 class WeightSet:
-    """A finite set of epsilon-basis weights of one fixed rank.
-
-    `weyl_closed` marks sets known to be stable under coordinate
-    permutations and sign changes (hence equal to their negative).
-    """
+    """A finite union of Weyl orbits (signed permutations of epsilon
+    coordinates) of one rank, held by the orbits' dominant weights sorted by
+    coefficient string.  Size and membership are answered per orbit; the
+    epsilon-basis members are listed only on request."""
 
     rank: int
-    members: frozenset[EpsWeight]
-    weyl_closed: bool = False
+    reps: tuple[Weight, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(self.members))
-        for m in self.members:
-            if m.rank != self.rank:
-                raise ValueError(f"member {m} has rank {m.rank}, expected {self.rank}")
+        reps = frozenset(self.reps)
+        for w in reps:
+            if w.rank != self.rank or not w.is_dominant():
+                raise ValueError(f"{w} is not a dominant weight of rank {self.rank}")
+        object.__setattr__(self, "reps", tuple(sorted(reps, key=lambda w: w.coeffs)))
 
     def __len__(self) -> int:
-        return len(self.members)
+        return sum(_orbit_size(to_eps(w).coords) for w in self.reps)
 
     def __iter__(self):
         return iter(self.members)
 
     def __contains__(self, item) -> bool:
-        return item in self.members
+        return (isinstance(item, EpsWeight) and item.rank == self.rank
+                and dominant_representative(item) in self.reps)
+
+    @cached_property
+    def members(self) -> frozenset[EpsWeight]:
+        """Every weight, in epsilon coordinates (built once, on first use)."""
+        return frozenset(EpsWeight(v) for w in self.reps for v in _arrangements(to_eps(w).coords))
 
 
 def _same_rank(a, b) -> None:
@@ -265,17 +272,8 @@ def dominant_below(w: Weight) -> frozenset[Weight]:
 
 
 def weyl_orbit(e: EpsWeight) -> WeightSet:
-    """All distinct vectors obtained by permuting coordinates and flipping signs."""
-    mags = tuple(sorted(abs(c) for c in e.coords))
-    members: set[EpsWeight] = set()
-    for perm in set(permutations(mags)):
-        positions = [i for i, c in enumerate(perm) if c]
-        for signs in product((1, -1), repeat=len(positions)):
-            v = list(perm)
-            for p, s in zip(positions, signs):
-                v[p] = s * v[p]
-            members.add(EpsWeight(tuple(v)))
-    return WeightSet(e.rank, frozenset(members), weyl_closed=True)
+    """The orbit of e under coordinate permutations and sign flips."""
+    return WeightSet(e.rank, (dominant_representative(e),))
 
 
 def dominant_representative(e: EpsWeight) -> Weight:
@@ -284,26 +282,33 @@ def dominant_representative(e: EpsWeight) -> Weight:
 
 
 def contains_zero(ws: WeightSet) -> bool:
-    return EpsWeight((0,) * ws.rank) in ws.members
+    return zero_weight(ws.rank) in ws.reps
 
 
 def dominant_members(ws: WeightSet) -> list[Weight]:
-    """The dominant weights whose orbits meet ws, sorted by coefficient string."""
-    reps = {dominant_representative(m) for m in ws.members if _is_dominant_eps(m)}
-    return sorted(reps, key=lambda w: w.coeffs)
+    """The dominant weights whose orbits make up ws, sorted by coefficient string."""
+    return list(ws.reps)
 
 
-def _is_dominant_eps(e: EpsWeight) -> bool:
-    c = e.coords
-    return all(c[i] >= c[i + 1] for i in range(len(c) - 1)) and c[-1] >= 0
+def _orbit_size(coords: tuple[int, ...]) -> int:
+    """2^(nonzero coordinates) * n! / prod(m_i!) over the multiplicities m_i of the magnitudes."""
+    size = 2 ** sum(1 for c in coords if c) * factorial(len(coords))
+    for m in Counter(abs(c) for c in coords).values():
+        size //= factorial(m)
+    return size
 
 
-def format_weight(w: Weight) -> str:
-    return str(w)
-
-
-def format_eps(e: EpsWeight) -> str:
-    return str(e)
+def _arrangements(mags: tuple[int, ...]):
+    """Each signed arrangement of the sorted magnitudes mags, once."""
+    if not mags:
+        yield ()
+    for i, v in enumerate(mags):
+        if i and mags[i - 1] == v:
+            continue  # equal magnitudes give equal arrangements
+        for rest in _arrangements(mags[:i] + mags[i + 1:]):
+            yield (v,) + rest
+            if v:
+                yield (-v,) + rest
 
 
 def parse_weight(text: str) -> Weight | EpsWeight:

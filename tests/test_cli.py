@@ -1,4 +1,5 @@
 import json
+import time
 
 from sp2n.cli import cli_main
 
@@ -87,3 +88,35 @@ def test_usage_errors(capsys):
     assert cli_main(["weights", "2", "1,1,1"]) == 2  # rank mismatch
     assert cli_main(["element", "junk", "--omega", "1"]) == 2
     capsys.readouterr()
+
+
+def test_sweep_limit_exceeded_exits_4(capsys):
+    assert cli_main(["verify", "--suite", "fr1", "--max-n", "3", "--sweep-limit", "1"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "sweep limit" in err
+    assert "Traceback" not in err
+
+
+def test_weights_counted_per_orbit(capsys):
+    # these sets hold 12.4 and 487 million weights; none is listed
+    started = time.perf_counter()
+    assert cli_main(["weights", "8", "1,1,1,1,1,1,1,0", "--json"]) == 0
+    assert time.perf_counter() - started < 10
+    out = json.loads(capsys.readouterr().out)
+    assert out["cardinality"] == "487066705"
+    assert len(out["dominant_members"]) == 1486
+    assert cli_main(["weights", "7", "1,1,1,1,1,1,0", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["cardinality"] == "12402170"
+    assert len(out["dominant_members"]) == 407
+
+
+def test_fallback_sized_by_weights_not_torus(capsys):
+    # tori of order 65535^2 and 1048575^2: only the 64 and 80 weights are evaluated
+    started = time.perf_counter()
+    for n, label in ((32, "16,16"), (40, "20,20")):
+        omega_1 = ",".join(["1"] + ["0"] * (n - 1))
+        assert cli_main(["torus-trivial", str(n), omega_1, "--torus", label, "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["decision"] == "no" and out["fallback_used"] is True
+    assert time.perf_counter() - started < 1

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sp2n.harness import SUITE_NAMES, counterexample_suite, run_suite
+from sp2n.harness import SUITE_NAMES, run_suite
 
 
 def test_unknown_suite():
@@ -22,7 +22,7 @@ def test_reports_are_deterministic():
     b = run_suite("si", 12)
     assert a.to_json() == b.to_json()
     a = run_suite("counterexamples")
-    b = counterexample_suite()
+    b = run_suite("counterexamples")
     assert a.to_json() == b.to_json()
 
 

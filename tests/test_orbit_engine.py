@@ -1,0 +1,145 @@
+"""The orbit representation and the residue engine against explicitly
+listed weight sets.
+
+The reference sets here are built the long way, independently of
+`WeightSet.members`: every orbit from all n! permutations and all 2^n
+sign patterns, saturated sets as unions of those orbits, and the a_n = 1
+sets as the explicit Minkowski sum with the orbit of the top fundamental
+weight.
+"""
+
+from itertools import permutations, product
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sp2n.criteria import th7_blocks
+from sp2n.reps import ModuleKind, weight_set
+from sp2n.tori import enumerate_shapes, residues
+from sp2n.weights import (
+    EpsWeight,
+    Weight,
+    WeightSet,
+    dominant_below,
+    dominant_members,
+    dominant_weights_up_to,
+    from_eps,
+    fundamental,
+    to_eps,
+)
+
+IRR2 = ModuleKind.IRREDUCIBLE_2
+WEYL = ModuleKind.WEYL
+
+_orbits: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+
+
+def _orbit(coords):
+    if coords not in _orbits:
+        _orbits[coords] = {
+            tuple(s * c for s, c in zip(signs, perm))
+            for perm in permutations(coords)
+            for signs in product((1, -1), repeat=len(coords))
+        }
+    return _orbits[coords]
+
+
+def _listed(w, kind):
+    if kind is WEYL or w.coeffs[-1] == 0:
+        out = set()
+        for mu in dominant_below(w):
+            out |= _orbit(to_eps(mu).coords)
+        return out
+    wn = fundamental(w.rank, w.rank)
+    return {
+        tuple(a + b for a, b in zip(x, y))
+        for x in _listed(w - wn, IRR2)
+        for y in _orbit(to_eps(wn).coords)
+    }
+
+
+def _listed_residues(listed, n):
+    """Per torus shape, the block residues of every listed weight (as in
+    `block_sums`), sharing the block values sum(v[pos + j] * 2^j) across shapes."""
+    vs = list(listed)
+    value = {}  # (first position, block rank) -> block value of each listed weight
+    for pos in range(n):
+        acc = [0] * len(vs)
+        for k in range(1, n - pos + 1):
+            acc = [a + (v[pos + k - 1] << (k - 1)) for a, v in zip(acc, vs)]
+            value[pos, k] = acc
+    out = {}
+    for shape in enumerate_shapes(n):
+        cols, pos = [], 0
+        for k, s in shape.blocks:
+            cols.append([x % (2**k - s) for x in value[pos, k]])
+            pos += k
+        out[shape] = set(zip(*cols))
+    return out
+
+
+def _th7_listed(listed, sizes):
+    spans, pos = [], 0
+    for b in sizes:
+        spans.append(range(pos, pos + b))
+        pos += b
+    return all(any(all(v[i] == 0 for i in span) for span in spans) for v in listed)
+
+
+def _compositions(total):
+    """Every list of positive block sizes with sum at most total."""
+    if total == 0:
+        return [[]]
+    out = [[]]
+    for first in range(1, total + 1):
+        out += [[first] + rest for rest in _compositions(total - first)]
+    return out
+
+
+def _check(w, kind):
+    n = w.rank
+    ws = weight_set(w, kind)
+    listed = _listed(w, kind)
+    assert ws.members == {EpsWeight(v) for v in listed}, (w, kind)
+    assert len(ws) == len(listed), (w, kind)
+    radius = 2 if n <= 4 else 1
+    for v in product(range(-radius, radius + 1), repeat=n):
+        assert (EpsWeight(v) in ws) == (v in listed), (w, kind, v)
+    dominant = [from_eps(EpsWeight(v)) for v in listed
+                if all(v[i] >= v[i + 1] for i in range(n - 1)) and v[-1] >= 0]
+    assert dominant_members(ws) == sorted(dominant, key=lambda d: d.coeffs), (w, kind)
+    for shape, expected in _listed_residues(listed, n).items():
+        assert residues(ws, shape) == expected, (w, kind, shape)
+    sizes_pool = _compositions(n) if n <= 4 else [[1] * k for k in range(n + 1)] + [[2, 3], [3, 1, 1]]
+    for sizes in sizes_pool:
+        assert th7_blocks(w, sizes, kind) == _th7_listed(listed, sizes), (w, kind, sizes)
+
+
+def _modules(n):
+    """Every restricted weight with both kinds, and the Weyl modules with delta <= 8."""
+    out = [(Weight(bits), kind) for bits in product((0, 1), repeat=n) for kind in (IRR2, WEYL)]
+    return out + [(w, WEYL) for w in dominant_weights_up_to(n, 8) if not w.is_restricted()]
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_orbit_sets_match_listed_sets(n):
+    for w, kind in _modules(n):
+        _check(w, kind)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(_modules(5)))
+def test_orbit_sets_match_listed_sets_rank5(module):
+    _check(*module)
+
+
+def test_weight_set_holds_dominant_representatives():
+    ws = WeightSet(2, [Weight((0, 1)), Weight((1, 0)), Weight((0, 1))])
+    assert ws.reps == (Weight((0, 1)), Weight((1, 0)))
+    assert len(ws) == 4 + 4
+    assert EpsWeight((0, -1)) in ws and EpsWeight((2, 0)) not in ws
+    with pytest.raises(ValueError):
+        WeightSet(2, [Weight((1, -1))])
+    with pytest.raises(ValueError):
+        WeightSet(2, [Weight((1, 0, 0))])
