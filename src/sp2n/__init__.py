@@ -1,6 +1,7 @@
 """Exact weight combinatorics and eigenvalue-1 decision procedures for
 2-modular representations of the symplectic groups Sp_2n(2)."""
 
+from .arith import WorkLimitError
 from .branching import (
     GUARANTEED_ONE,
     POSSIBLE_EXCEPTION,
@@ -59,7 +60,6 @@ from .reps import (
     zero_in_weight_set,
 )
 from .tori import (
-    SweepLimitError,
     TorusElement,
     TorusShape,
     block_sums,

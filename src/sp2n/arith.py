@@ -1,28 +1,54 @@
-"""Small exact integer helpers: multiplicative orders, trial-division factoring."""
+"""Small exact integer helpers: multiplicative orders, trial-division
+factoring, and the totient and partition counts that size enumerations."""
 
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
-DEFAULT_FACTOR_BOUND = 10**6
+WORK_LIMIT = 10**6  # most steps of any enumeration whose size comes from the input
+FACTOR_BOUND = 10**6  # largest trial divisor
+
+
+class WorkLimitError(RuntimeError):
+    """Raised before an enumeration that would take more than WORK_LIMIT steps."""
 
 
 def mult_order(a: int, m: int) -> int:
-    """Multiplicative order of a modulo m.  Requires gcd(a, m) == 1."""
+    """Multiplicative order of a modulo m.  Requires gcd(a, m) == 1.
+
+    Starts from phi(m) and divides out each prime p while a^(t/p) = 1
+    (Cohen, A Course in Computational Algebraic Number Theory, Alg. 1.4.3).
+    """
     if m < 1:
         raise ValueError(f"modulus must be positive, got {m}")
     if gcd(a, m) != 1:
         raise ValueError(f"{a} is not a unit modulo {m}")
-    if m == 1:
-        return 1
-    t = 1
-    x = a % m
-    while x != 1:
-        x = (x * a) % m
-        t += 1
+    t = totient(m)
+    for p in factorize(t):
+        while t % p == 0 and pow(a, t // p, m) == 1:
+            t //= p
     return t
 
 
-def factorize(m: int, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, int]:
-    """Prime factorization by trial division with divisors up to `bound`.
+def has_order(a: int, m: int, t: int) -> bool:
+    """Whether a has multiplicative order exactly t modulo m; factors only t."""
+    return pow(a, t, m) == 1 % m and all(pow(a, t // p, m) != 1 % m for p in factorize(t))
+
+
+def totient(m: int) -> int:
+    """Euler's phi(m): the number of units modulo m."""
+    return prod((p - 1) * p ** (e - 1) for p, e in factorize(m).items())
+
+
+def partition_counts(max_part: int, total: int) -> list[int]:
+    """p[d] = number of partitions of d into parts of size at most max_part, d = 0..total."""
+    p = [1] + [0] * total
+    for k in range(1, max_part + 1):
+        for d in range(k, total + 1):
+            p[d] += p[d - k]
+    return p
+
+
+def factorize(m: int) -> dict[int, int]:
+    """Prime factorization by trial division with divisors up to FACTOR_BOUND.
 
     Raises ValueError when the input cannot be certified within the bound,
     rather than returning a partial answer.
@@ -32,21 +58,21 @@ def factorize(m: int, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, int]:
     out: dict[int, int] = {}
     rest = m
     p = 2
-    while p <= bound and p * p <= rest:
+    while p <= FACTOR_BOUND and p * p <= rest:
         while rest % p == 0:
             out[p] = out.get(p, 0) + 1
             rest //= p
         p += 1 if p == 2 else 2
     if rest > 1:
-        if rest > bound * bound and isqrt(rest) > bound:
-            raise ValueError(f"{m} exceeds the factorization bound {bound}")
+        if rest > FACTOR_BOUND * FACTOR_BOUND and isqrt(rest) > FACTOR_BOUND:
+            raise ValueError(f"{m} exceeds the factorization bound {FACTOR_BOUND}")
         out[rest] = out.get(rest, 0) + 1
     return out
 
 
-def divisors(m: int, bound: int = DEFAULT_FACTOR_BOUND) -> list[int]:
+def divisors(m: int) -> list[int]:
     """Sorted list of positive divisors of m."""
     divs = [1]
-    for p, e in factorize(m, bound).items():
+    for p, e in factorize(m).items():
         divs = [d * p**k for d in divs for k in range(e + 1)]
     return sorted(divs)

@@ -1,14 +1,18 @@
 """Command line front end.
 
 Exit codes: 0 success or suite pass, 1 verdict mismatch under --expect,
-2 usage error, 3 suite failure, 4 work limit exceeded (--sweep-limit or
-SWEEP_LIMIT).
+2 usage error (also an order that trial division up to arith.FACTOR_BOUND
+cannot factor), 3 suite failure, 4 work limit exceeded: an enumeration
+sized by the input would take more than arith.WORK_LIMIT = 10^6 steps
+(torus classes, dominant weights up to the highest weight's delta, or
+generator tuples times residue rows of a direct evaluation).
 """
 
 import argparse
 import json
 import sys
 
+from .arith import WorkLimitError
 from .branching import (
     GUARANTEED_ONE,
     LinearWeight,
@@ -28,8 +32,8 @@ from .elements import (
 )
 from .harness import SUITE_NAMES, run_suite
 from .reps import ModuleKind, has_zero_weight, weight_set
-from .tori import SweepLimitError, enumerate_shapes, parse_torus_label, singer_index, torus_order
-from .weights import Weight, dominant_members, from_eps, parse_weight
+from .tori import enumerate_shapes, parse_torus_label, singer_index, torus_order
+from .weights import Weight, from_eps, parse_weight
 
 
 def _weight_arg(text: str, rank: int) -> Weight:
@@ -81,19 +85,18 @@ def _cmd_weights(args) -> int:
     w = _weight_arg(args.omega, args.n)
     kind = ModuleKind.WEYL if args.kind == "weyl" else ModuleKind.IRREDUCIBLE_2
     ws = weight_set(w, kind)
-    dom = dominant_members(ws)
     zero = has_zero_weight(w, kind)
     payload = {
         "n": str(args.n),
         "omega": str(w),
         "kind": args.kind,
         "cardinality": str(len(ws)),
-        "dominant_members": [str(m) for m in dom],
+        "dominant_members": [str(m) for m in ws.reps],
         "has_zero_weight": zero,
     }
     lines = [
         f"weights: {payload['cardinality']}",
-        "dominant members: " + "; ".join(str(m) for m in dom),
+        "dominant members: " + "; ".join(str(m) for m in ws.reps),
         f"zero weight: {'yes' if zero else 'no'}",
     ]
     _emit(args, payload, lines)
@@ -182,7 +185,7 @@ def _cmd_real(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = run_suite(args.suite, args.max_n, args.sweep_limit)
+    report = run_suite(args.suite, args.max_n)
     print(report.to_json())
     if not report.passed:
         return 3
@@ -249,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=SUITE_NAMES, required=True)
     p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--sweep-limit", type=int, default=None)
     p.set_defaults(fn=_cmd_verify)
 
     return parser
@@ -263,9 +265,9 @@ def cli_main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.fn(args)
-    except (ValueError, KeyError, SweepLimitError) as exc:
+    except (ValueError, KeyError, WorkLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4 if isinstance(exc, SweepLimitError) else 2
+        return 4 if isinstance(exc, WorkLimitError) else 2
 
 
 def main() -> None:

@@ -8,7 +8,9 @@ forms, quantified over every generator choice.
 """
 
 from dataclasses import dataclass
+from math import prod
 
+from .arith import WORK_LIMIT, WorkLimitError, totient
 from .elements import (
     SemisimpleElement,
     generator_tuples,
@@ -134,6 +136,9 @@ def element_has_one(w: Weight, g: SemisimpleElement) -> Verdict:
         return Verdict(YES, ("Lem-cc2",))
     # odd fundamental weight: evaluate directly, over every generator choice
     rows = residues(weight_set(w, ModuleKind.IRREDUCIBLE_2), to_torus_element(g).shape)
+    tuples = prod(totient(o) for _, o, _ in g.blocks)
+    if tuples * len(rows) > WORK_LIMIT:
+        raise WorkLimitError(f"{tuples} generator tuples times {len(rows)} residue rows exceed the work limit {WORK_LIMIT}")
     results = {0 in _eval_residues(rows, to_torus_element(g, us)) for us in generator_tuples(g)}
     if results == {True}:
         return Verdict(YES, ("direct",), fallback_used=True)

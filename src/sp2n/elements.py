@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
 
-from .arith import DEFAULT_FACTOR_BOUND, divisors, mult_order
+from .arith import divisors, has_order
 from .tori import TorusElement, TorusShape
 
 
@@ -44,11 +44,8 @@ class SemisimpleElement:
                     raise ValueError("an identity block must be (1, 1, +1)")
             else:
                 need = 2 * d if s == -1 else d
-                have = mult_order(2, o)
-                if have != need:
-                    raise ValueError(
-                        f"block ({d},{o},{s}) is not minimal: order of 2 mod {o} is {have}, expected {need}"
-                    )
+                if not has_order(2, o, need):
+                    raise ValueError(f"block ({d},{o},{s}) is not minimal: order of 2 mod {o} is not {need}")
         object.__setattr__(self, "blocks", blocks)
 
     @property
@@ -106,7 +103,7 @@ def singer_index_element(g: SemisimpleElement) -> int:
     return len(gamma_graph(g).singular)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)  # every rank up to the si suite's cap of 24
 def singer_height(n: int) -> tuple[int, frozenset[int]]:
     """Largest l admitting parts n_1 + ... + n_l <= n with 2^(n_i) + 1 pairwise coprime.
 
@@ -158,13 +155,13 @@ def has_eigenvalue_one_omega_n(g: SemisimpleElement) -> bool:
     return not gamma_graph(g).singular
 
 
-def omega_n_eigenvalue_orders(g: SemisimpleElement, factor_bound: int = DEFAULT_FACTOR_BOUND) -> frozenset[int]:
+def omega_n_eigenvalue_orders(g: SemisimpleElement) -> frozenset[int]:
     """Orders of the roots of unity occurring as eigenvalues on the top
     fundamental module: the divisors of the element order sharing a
     factor with every singular block order."""
     singular_orders = [g.blocks[i][1] for i in gamma_graph(g).singular]
     return frozenset(
-        e for e in divisors(g.order, factor_bound)
+        e for e in divisors(g.order)
         if all(gcd(e, o) > 1 for o in singular_orders)
     )
 
@@ -207,7 +204,7 @@ def valid_blocks(d: int) -> list[tuple[int, int, int]]:
             if o == 1:
                 if d == 1 and s == 1:
                     out.append((d, o, s))
-            elif mult_order(2, o) == (2 * d if s == -1 else d):
+            elif has_order(2, o, 2 * d if s == -1 else d):
                 out.append((d, o, s))
     return out
 

@@ -112,7 +112,7 @@ def _restricted_top(n: int):
 # ---------------------------------------------------------------- suites
 
 
-def _suite_dominance(max_n: int, limit):
+def _suite_dominance(max_n: int):
     cases, failures = 0, []
     for n in range(1, max_n + 1):
         pool = dominant_weights_up_to(n, DOMINANCE_DELTA_CAP)
@@ -126,7 +126,7 @@ def _suite_dominance(max_n: int, limit):
     return cases, failures, []
 
 
-def _suite_si(max_n: int, limit):
+def _suite_si(max_n: int):
     cases, failures, notes = 0, [], []
     for n in range(3, min(11, max_n) + 1):
         cases += 1
@@ -161,7 +161,7 @@ def _suite_si(max_n: int, limit):
     return cases, failures, notes
 
 
-def _suite_m22(max_n: int, limit):
+def _suite_m22(max_n: int):
     cases, failures = 0, []
     for n in range(1, max_n + 1):
         wn = fundamental(n, n)
@@ -183,7 +183,7 @@ def _suite_m22(max_n: int, limit):
     return cases, failures, []
 
 
-def _suite_ee3(max_n: int, limit):
+def _suite_ee3(max_n: int):
     cases, failures = 0, []
     for n in range(1, max_n + 1):
         shapes = enumerate_shapes(n)
@@ -197,7 +197,7 @@ def _suite_ee3(max_n: int, limit):
     return cases, failures, []
 
 
-def _suite_s10(max_n: int, limit):
+def _suite_s10(max_n: int):
     cases, failures = 0, []
     for n in range(1, max_n + 1):
         shapes = enumerate_shapes(n)
@@ -220,7 +220,7 @@ def _zero_in_sumset(sets: list[set[int]], o: int) -> bool:
     return not sets or any(-a % o in sets[-1] for a in acc)
 
 
-def _suite_th2(max_n: int, limit):
+def _suite_th2(max_n: int):
     cases, failures = 0, []
     for n in range(1, max_n + 1):
         shape = singer_shape(n)
@@ -240,7 +240,7 @@ def _suite_th2(max_n: int, limit):
     return cases, failures, []
 
 
-def _suite_ff2(max_n: int, limit):
+def _suite_ff2(max_n: int):
     cases, failures = 0, []
     for n in range(1, max_n + 1):
         orbit = weyl_orbit(to_eps(fundamental(n, n)))
@@ -277,7 +277,7 @@ def check_element_vs_direct(max_n: int):
     return cases, failures
 
 
-def check_unisingular_vs_sweeps(max_n: int, limit=None):
+def check_unisingular_vs_sweeps(max_n: int):
     """Closed-form unisingularity against exhaustive torus sweeps."""
     cases, failures = 0, []
     for n in range(1, max_n + 1):
@@ -286,19 +286,19 @@ def check_unisingular_vs_sweeps(max_n: int, limit=None):
             cases += 1
             fast = unisingular(w).decision == YES
             ws = weight_set(w)
-            oracle = all(unisingular_on_torus(ws, sh, limit) for sh in shapes)
+            oracle = all(unisingular_on_torus(ws, sh) for sh in shapes)
             if fast != oracle:
                 _fail(failures, f"n={n} w={w}", fast, oracle)
     return cases, failures
 
 
-def _suite_fr1(max_n: int, limit):
+def _suite_fr1(max_n: int):
     cases_a, failures_a = check_element_vs_direct(max_n)
-    cases_b, failures_b = check_unisingular_vs_sweeps(max_n, limit)
+    cases_b, failures_b = check_unisingular_vs_sweeps(max_n)
     return cases_a + cases_b, failures_a + failures_b, []
 
 
-def _suite_th7(max_n: int, limit):
+def _suite_th7(max_n: int):
     cases, failures = 0, []
     for n in range(1, max_n + 1):
         for w in dominant_weights_up_to(n, TH7_DELTA_CAP):
@@ -315,7 +315,7 @@ def _suite_th7(max_n: int, limit):
     return cases, failures, []
 
 
-def _suite_branching(max_n: int, limit):
+def _suite_branching(max_n: int):
     cases, failures = 0, []
     for N in range(2, max_n + 1, 2):
         for k in range(1, N):
@@ -346,7 +346,7 @@ def _suite_branching(max_n: int, limit):
     return cases, failures, []
 
 
-def _suite_counterexamples(max_n: int, limit):
+def _suite_counterexamples(max_n: int):
     cases, failures = 0, []
     linear_cases = [
         # (ambient N, torus shape on the symplectic side, odd powers to check)
@@ -409,13 +409,13 @@ _SUITES = {
 SUITE_NAMES = list(_SUITES) + ["all"]
 
 
-def run_suite(name: str, max_n: int | None = None, sweep_limit: int | None = None) -> SuiteReport:
+def run_suite(name: str, max_n: int | None = None) -> SuiteReport:
     """Run one named suite (or "all") up to the given rank cap."""
     started = time.perf_counter()
     if name == "all":
         cases, failures, notes, caps = 0, [], [], []
         for sub in _SUITES:
-            rep = run_suite(sub, max_n, sweep_limit)
+            rep = run_suite(sub, max_n)
             cases += rep.cases
             caps.append(rep.max_n)
             failures.extend({**f, "input": f"{sub}: {f['input']}"} for f in rep.failures)
@@ -426,6 +426,6 @@ def run_suite(name: str, max_n: int | None = None, sweep_limit: int | None = Non
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     fn, default_cap = _SUITES[name]
     cap = default_cap if max_n is None else min(default_cap, max_n)
-    cases, failures, notes = fn(cap, sweep_limit)
+    cases, failures, notes = fn(cap)
     return SuiteReport(name, cap, cases, failures, notes, time.perf_counter() - started)
 

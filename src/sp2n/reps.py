@@ -22,7 +22,6 @@ from .weights import (
     EpsWeight,
     Weight,
     WeightSet,
-    contains_zero,
     delta,
     dominant_below,
     from_eps,
@@ -56,7 +55,7 @@ def _validate(w: Weight, kind: ModuleKind) -> None:
         raise ValueError(f"{w} is not 2-restricted")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)  # a full verification run asks for about 313 distinct sets
 def _weight_set_cached(coeffs: tuple[int, ...], kind: ModuleKind) -> WeightSet:
     w = Weight(coeffs)
     if kind is ModuleKind.WEYL or coeffs[-1] == 0:
@@ -122,12 +121,6 @@ def g_effective_weight_set(w: Weight) -> WeightSet:
     """
     if not w.is_dominant():
         raise ValueError(f"{w} is not dominant")
-    return _g_effective_cached(w.coeffs)
-
-
-@lru_cache(maxsize=None)
-def _g_effective_cached(coeffs: tuple[int, ...]) -> WeightSet:
-    w = Weight(coeffs)
     acc = WeightSet(w.rank, (zero_weight(w.rank),))
     for _, mu in twist_decompose(w):
         acc = minkowski_sum(acc, weight_set(mu, ModuleKind.IRREDUCIBLE_2))
@@ -137,4 +130,4 @@ def _g_effective_cached(coeffs: tuple[int, ...]) -> WeightSet:
 def zero_in_weight_set(w: Weight, kind: ModuleKind = ModuleKind.IRREDUCIBLE_2) -> bool:
     """Exact membership of the zero weight: the zero orbit is one of the
     representatives of the weight set."""
-    return contains_zero(weight_set(w, kind))
+    return zero_weight(w.rank) in weight_set(w, kind).reps

@@ -10,20 +10,14 @@ arithmetic.  `residues` is the one engine evaluating weight sets on tori
 and their elements; it works orbit by orbit and lists no orbit.
 """
 
-import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import gcd, lcm, prod
 
+from .arith import WORK_LIMIT, WorkLimitError, partition_counts
 from .weights import EpsWeight, WeightSet, to_eps
-
-DEFAULT_SWEEP_LIMIT = 10**6
-
-
-class SweepLimitError(RuntimeError):
-    """Raised when a brute-force sweep would exceed its configured bound."""
 
 
 @dataclass(frozen=True)
@@ -100,6 +94,10 @@ def enumerate_shapes(n: int) -> list[TorusShape]:
     """All signed partitions of n, canonically ordered, no duplicates."""
     if n < 1:
         raise ValueError(f"rank must be at least 1, got {n}")
+    p = partition_counts(n, n)  # a signed partition is a pair (minus parts, plus parts)
+    count = sum(p[j] * p[n - j] for j in range(n + 1))
+    if count > WORK_LIMIT:
+        raise WorkLimitError(f"{count} torus classes at rank {n} exceed the work limit {WORK_LIMIT}")
     shapes: list[TorusShape] = []
     for parts in _partitions(n, n):
         # distinct part sizes, largest first; each size gets 0..count minus signs
@@ -213,25 +211,16 @@ def _eval_residues(rows: Iterable[tuple[int, ...]], t: TorusElement) -> Iterator
     return (sum(c * r for c, r in zip(coefs, rs)) % L for rs in rows)
 
 
-def sweep_limit(explicit: int | None = None) -> int:
-    """Resolve the sweep bound: explicit argument, SWEEP_LIMIT env var, default."""
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("SWEEP_LIMIT")
-    return int(env) if env else DEFAULT_SWEEP_LIMIT
-
-
-def unisingular_on_torus(ws: WeightSet, shape: TorusShape, limit: int | None = None) -> bool:
+def unisingular_on_torus(ws: WeightSet, shape: TorusShape) -> bool:
     """Brute-force sweep: does every torus element take value 1 on some weight?
 
     Enumerates every exponent tuple of the canonical form; errors out if
-    the torus order exceeds the sweep limit rather than truncating.
+    the torus order exceeds the work limit rather than truncating.
     """
     if ws.rank != shape.rank:
         raise ValueError(f"rank mismatch: {ws.rank} vs {shape.rank}")
-    bound = sweep_limit(limit)
-    if torus_order(shape) > bound:
-        raise SweepLimitError(f"torus order {torus_order(shape)} exceeds sweep limit {bound}")
+    if torus_order(shape) > WORK_LIMIT:
+        raise WorkLimitError(f"torus order {torus_order(shape)} exceeds the work limit {WORK_LIMIT}")
     orders = factor_orders(shape)
     L = lcm(*orders)
     coefs = [L // o for o in orders]

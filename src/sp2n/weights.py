@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
 
+from .arith import WORK_LIMIT, WorkLimitError, partition_counts
+
 
 @dataclass(frozen=True, slots=True)
 class Weight:
@@ -239,6 +241,9 @@ def dominant_weights_up_to(rank: int, max_delta: int) -> list[Weight]:
     """All dominant weights of the given rank with delta at most max_delta."""
     if rank < 1:
         raise ValueError("rank must be at least 1")
+    count = sum(partition_counts(rank, max_delta))  # a_i parts of size i: a partition of delta
+    if count > WORK_LIMIT:
+        raise WorkLimitError(f"{count} dominant weights with delta <= {max_delta} exceed the work limit {WORK_LIMIT}")
     out: list[Weight] = []
     acc: list[int] = []
 
@@ -279,15 +284,6 @@ def weyl_orbit(e: EpsWeight) -> WeightSet:
 def dominant_representative(e: EpsWeight) -> Weight:
     """The unique dominant weight in the orbit of e under permutations and sign flips."""
     return from_eps(EpsWeight(tuple(sorted((abs(c) for c in e.coords), reverse=True))))
-
-
-def contains_zero(ws: WeightSet) -> bool:
-    return zero_weight(ws.rank) in ws.reps
-
-
-def dominant_members(ws: WeightSet) -> list[Weight]:
-    """The dominant weights whose orbits make up ws, sorted by coefficient string."""
-    return list(ws.reps)
 
 
 def _orbit_size(coords: tuple[int, ...]) -> int:

@@ -1,0 +1,49 @@
+from math import gcd
+
+import pytest
+
+from sp2n.arith import has_order, mult_order, partition_counts, totient
+
+
+def _mult_order_scan(a, m):
+    # the reference: the first t with a^t = 1 modulo m
+    t, x = 1, a % m
+    while x != 1 % m:
+        x = x * a % m
+        t += 1
+    return t
+
+
+def test_mult_order_matches_linear_scan():
+    for m in range(1, 2001):
+        for a in (2, 3, 5):
+            if gcd(a, m) == 1:
+                t = _mult_order_scan(a, m)
+                assert mult_order(a, m) == t, (a, m)
+                assert has_order(a, m, t), (a, m)
+                assert t == 1 or not has_order(a, m, 2 * t), (a, m)
+
+
+def test_mult_order_validation():
+    with pytest.raises(ValueError):
+        mult_order(2, 0)
+    with pytest.raises(ValueError):
+        mult_order(2, 6)
+    # phi(m) of a product of two primes above the factor bound cannot be found
+    with pytest.raises(ValueError):
+        mult_order(2, 1000003 * 1000033)
+
+
+def test_mult_order_large_prime():
+    assert mult_order(2, 10**9 + 7) == 500000003
+
+
+def test_totient_counts_units():
+    for m in range(1, 500):
+        assert totient(m) == sum(1 for u in range(1, m + 1) if gcd(u, m) == 1), m
+
+
+def test_partition_counts():
+    assert partition_counts(10, 10) == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
+    assert partition_counts(2, 6) == [1, 1, 2, 2, 3, 3, 4]
+    assert partition_counts(1, 3) == [1, 1, 1, 1]

@@ -1,6 +1,8 @@
 import json
 import time
 
+import pytest
+
 from sp2n.cli import cli_main
 
 
@@ -90,11 +92,38 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
-def test_sweep_limit_exceeded_exits_4(capsys):
-    assert cli_main(["verify", "--suite", "fr1", "--max-n", "3", "--sweep-limit", "1"]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "sweep limit" in err
-    assert "Traceback" not in err
+_OMEGA_1_RANK_20 = ",".join(["1"] + ["0"] * 19)
+
+
+@pytest.mark.parametrize("argv", [
+    # 986,880 generator tuples times 40 residue rows
+    ["element", "20:1048577:-", "--omega", _OMEGA_1_RANK_20],
+    # 9,035,539 torus classes
+    ["tori", "40"],
+    # 5,914,310 dominant weights with delta <= 66
+    ["weights", "12", "1,1,1,1,1,1,1,1,1,1,1,0"],
+], ids=["element", "tori", "weights"])
+def test_work_limit_exceeded_exits_4(capsys, argv):
+    started = time.perf_counter()
+    assert cli_main(argv) == 4
+    assert time.perf_counter() - started < 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "work limit" in captured.err
+    assert "Traceback" not in captured.err and not captured.out
+
+
+def test_real_large_orders(capsys):
+    # the order of 2 modulo the prime 10^9 + 7 is 500,000,003, which is odd
+    started = time.perf_counter()
+    assert cli_main(["real", "--group", "sl", "--order", "1000000007", "--q", "2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["real"] is False
+    assert cli_main(["real", "--group", "su", "--order", "1000000007", "--q", "2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["real"] is True
+    assert time.perf_counter() - started < 1
+    # two prime factors above the factor bound
+    assert cli_main(["real", "--group", "sl", "--order", str(1000003 * 1000033), "--q", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
 def test_weights_counted_per_orbit(capsys):

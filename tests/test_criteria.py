@@ -1,7 +1,10 @@
 from itertools import product
+from math import prod
 
 import pytest
 
+import sp2n.criteria
+from sp2n.arith import WorkLimitError, totient
 from sp2n.criteria import (
     NO,
     UNDETERMINED,
@@ -32,6 +35,7 @@ from sp2n.tori import (
     TorusShape,
     enumerate_shapes,
     eval_weight,
+    residues,
     singer_shape,
     trivial_constituent,
 )
@@ -151,6 +155,20 @@ def test_element_has_one_examples():
     assert element_has_one(Weight((0, 1, 0)), g).decision == YES  # radical
     with pytest.raises(ValueError):
         element_has_one(Weight((0, 1)), g)
+
+
+def test_element_fallback_work_is_counted_before_it_starts(monkeypatch):
+    # generator tuples times distinct residue rows: 16 * 8 for w_1 at rank 4
+    g = build_element([(4, 17, -1)])
+    w = fundamental(4, 1)
+    rows = residues(weight_set(w), to_torus_element(g).shape)
+    size = prod(totient(o) for _, o, _ in g.blocks) * len(rows)
+    assert size == 16 * 8
+    monkeypatch.setattr(sp2n.criteria, "WORK_LIMIT", size - 1)
+    with pytest.raises(WorkLimitError):
+        element_has_one(w, g)
+    monkeypatch.setattr(sp2n.criteria, "WORK_LIMIT", size)
+    assert element_has_one(w, g).fallback_used
 
 
 def test_element_has_one_never_mixed():

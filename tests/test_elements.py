@@ -1,7 +1,8 @@
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
+from sp2n.arith import totient
 from sp2n.elements import (
     build_element,
     enumerate_elements,
@@ -99,6 +100,8 @@ def test_max_singer_element_examples():
         g = max_singer_element(n)
         assert g.rank == n
         assert singer_index_element(g) == singer_height(n)[0]
+    # holds the block (64, 2^64 + 1, -1); 2^64 + 1 cannot be factored within the bound
+    assert (64, 2**64 + 1, -1) in max_singer_element(150).blocks
 
 
 def test_singer_index_is_bounded_by_height():
@@ -158,6 +161,12 @@ def test_to_torus_element_block_orders():
         for g in enumerate_elements(n):
             t = to_torus_element(g)
             assert t.order == g.order, g
+
+
+def test_generator_tuple_count_is_a_totient_product():
+    for n in range(1, 5):
+        for g in enumerate_elements(n):
+            assert len(list(generator_tuples(g))) == prod(totient(o) for _, o, _ in g.blocks), g
 
 
 def test_to_torus_element_rejects_bad_generators():

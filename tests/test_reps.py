@@ -17,7 +17,6 @@ from sp2n.weights import (
     EpsWeight,
     Weight,
     WeightSet,
-    contains_zero,
     delta,
     dominant_representative,
     dominates,
@@ -47,13 +46,13 @@ def _restricted(n):
 def test_weight_set_examples():
     ws = weight_set(fundamental(2, 2), IRR2)
     assert ws.members == {EpsWeight((s1, s2)) for s1 in (1, -1) for s2 in (1, -1)}
-    assert not contains_zero(ws)
+    assert zero_weight(2) not in ws.reps
 
     assert weight_set(Weight((1, 1)), IRR2).members == TWELVE
 
     weyl = weight_set(fundamental(2, 2), WEYL)
     assert len(weyl) == 5
-    assert contains_zero(weyl)
+    assert zero_weight(2) in weyl.reps
 
 
 def test_weight_set_validation():
@@ -110,7 +109,7 @@ def test_has_zero_weight_matches_membership():
         for w in _restricted(n):
             for kind in (IRR2, WEYL):
                 closed = has_zero_weight(w, kind)
-                assert closed == contains_zero(weight_set(w, kind)), (w, kind)
+                assert closed == (zero_weight(n) in weight_set(w, kind).reps), (w, kind)
                 assert closed == zero_in_weight_set(w, kind), (w, kind)
 
 
@@ -194,7 +193,7 @@ def test_even_fundamentals_appear_alongside_zero():
         for bits in product((0, 1), repeat=n - 1):
             w = Weight(bits + (1,))
             ws = weight_set(w, IRR2)
-            if contains_zero(ws):
+            if zero_weight(n) in ws.reps:
                 for i in range(2, n + 1, 2):
                     assert to_eps(fundamental(n, i)) in ws.members, (w, i)
 
@@ -209,7 +208,7 @@ def test_high_delta_top_weights():
                 continue
             ws = weight_set(w, IRR2)
             if delta(w) % 2 == 0:
-                assert contains_zero(ws)
+                assert zero_weight(n) in ws.reps
             else:
                 assert to_eps(fundamental(n, 1)) in ws.members
                 assert EpsWeight((2, 1) + (0,) * (n - 2)) in ws.members

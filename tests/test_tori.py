@@ -2,9 +2,10 @@ from itertools import product
 
 import pytest
 
+import sp2n.tori
+from sp2n.arith import WorkLimitError, partition_counts
 from sp2n.reps import ModuleKind, weight_set
 from sp2n.tori import (
-    SweepLimitError,
     TorusElement,
     TorusShape,
     block_sums,
@@ -67,9 +68,19 @@ def _signed_partition_count(n):
     return counts[n]
 
 
-def test_enumerate_shapes_count_matches_generating_function():
+def test_enumerate_shapes_count_matches_generating_function(monkeypatch):
     for n in range(1, 13):
-        assert len(enumerate_shapes(n)) == _signed_partition_count(n), n
+        size = len(enumerate_shapes(n))
+        assert size == _signed_partition_count(n), n
+        p = partition_counts(n, n)
+        assert size == sum(p[j] * p[n - j] for j in range(n + 1)), n
+        # the work check counts exactly the shapes it then lists
+        with monkeypatch.context() as mp:
+            mp.setattr(sp2n.tori, "WORK_LIMIT", size - 1)
+            with pytest.raises(WorkLimitError):
+                enumerate_shapes(n)
+            mp.setattr(sp2n.tori, "WORK_LIMIT", size)
+            assert len(enumerate_shapes(n)) == size
 
 
 def test_torus_order_examples():
@@ -157,15 +168,11 @@ def test_unisingular_on_torus_examples():
     assert unisingular_on_torus(weight_set(Weight((1, 1)), IRR2), singer_shape(2))
 
 
-def test_sweep_limit_enforced(monkeypatch):
-    ws = weight_set(fundamental(2, 2), IRR2)
-    with pytest.raises(SweepLimitError):
-        unisingular_on_torus(ws, singer_shape(2), limit=3)
-    monkeypatch.setenv("SWEEP_LIMIT", "2")
-    with pytest.raises(SweepLimitError):
-        unisingular_on_torus(ws, singer_shape(2))
-    monkeypatch.setenv("SWEEP_LIMIT", "100")
-    assert not unisingular_on_torus(ws, singer_shape(2))
+def test_sweep_limit_enforced():
+    # the torus of order 2^20 - 1 = 1,048,575 is over the work limit of 10^6
+    ws = weight_set(fundamental(20, 1), IRR2)
+    with pytest.raises(WorkLimitError):
+        unisingular_on_torus(ws, TorusShape(((20, 1),)))
 
 
 def test_singer_torus_misses_odd_fundamentals():

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sp2n.arith import partition_counts
 from sp2n.weights import (
     EpsWeight,
     Weight,
     delta,
     dominant_below,
-    dominant_members,
     dominant_representative,
     dominant_weights_up_to,
     dominates,
@@ -209,7 +209,7 @@ def test_dominant_representative_lies_in_orbit():
 
 def test_dominant_members():
     ws = weyl_orbit(EpsWeight((2, 1)))
-    assert dominant_members(ws) == [Weight((1, 1))]
+    assert ws.reps == (Weight((1, 1)),)
 
 
 def test_parse_and_format():
@@ -232,6 +232,13 @@ def test_saturated_sets_match_root_string_generation():
             for mu in dominant_below(w):
                 from_orbits |= weyl_orbit(to_eps(mu)).members
             assert generated == from_orbits, w
+
+
+def test_dominant_weight_count_is_a_partition_count():
+    # a weight with delta d is a partition of d into parts of size at most n
+    for n in range(1, 7):
+        for max_delta in range(21):
+            assert len(dominant_weights_up_to(n, max_delta)) == sum(partition_counts(n, max_delta))
 
 
 def _string_closure(w):
