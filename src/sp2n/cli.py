@@ -4,15 +4,18 @@ Exit codes: 0 success or suite pass, 1 verdict mismatch under --expect,
 2 usage error (also an order that trial division up to arith.FACTOR_BOUND
 cannot factor), 3 suite failure, 4 work limit exceeded: an enumeration
 sized by the input would take more than arith.WORK_LIMIT = 10^6 steps
-(torus classes, dominant weights up to the highest weight's delta, or
-generator tuples times residue rows of a direct evaluation).
+(torus classes, dominant weights up to the highest weight's delta,
+generator tuples times residue rows of a direct evaluation, or the weight
+coefficients `branch --N` would print: n for each exterior power's
+factor, about N^3/16 in all).
 """
 
 import argparse
 import json
 import sys
+from functools import cache
 
-from .arith import WorkLimitError
+from .arith import WORK_LIMIT, WorkLimitError
 from .branching import (
     GUARANTEED_ONE,
     LinearWeight,
@@ -152,9 +155,14 @@ def _cmd_branch(args) -> int:
     lam = LinearWeight(tuple(int(p) for p in args.lam.split(",")))
     if lam.ambient != args.N:
         raise ValueError(f"lambda {args.lam!r} has ambient size {lam.ambient}, expected {args.N}")
+    n = args.N // 2
+    if args.N % 2 == 0:
+        # exterior power k has (min(k, N - k) + 1) // 2 factors of n coefficients each
+        count = n * sum((min(k, args.N - k) + 1) // 2 for k in range(1, args.N))
+        if count > WORK_LIMIT:
+            raise WorkLimitError(f"{count} exterior-factor coefficients for N = {args.N} exceed the work limit {WORK_LIMIT}")
     verdict = real_element_verdict(lam)
     restricted = restrict_to_c(lam) if args.N % 2 == 0 else None
-    n = args.N // 2
     payload = {
         "N": str(args.N),
         "lambda": str(lam),
@@ -257,10 +265,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call (not at import) and then reused."""
+    return build_parser()
+
+
 def cli_main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -8,13 +8,18 @@ with the long root 2*e_n.  All arithmetic is exact (Python integers).
 
 The closed-form dominance test (`dominates`) is a fast path; the
 subtraction search (`dominates_oracle`) is the definition of record and
-the two are cross-checked exhaustively by the test suite.
+the two are cross-checked exhaustively by the test suite.  The search keeps
+its own copy of the pruning rule and shares one bounded, process-wide
+table of the states that passed it, so a search stops at the first state
+an earlier search has settled.
 """
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import accumulate
 from math import factorial
+from operator import sub
 
 from .arith import WORK_LIMIT, WorkLimitError, partition_counts
 
@@ -182,58 +187,92 @@ def is_radical(w: Weight) -> bool:
 def dominates(hi: Weight, lo: Weight) -> bool:
     """True when hi - lo is a nonnegative integer combination of simple roots.
 
-    Closed form in epsilon coordinates: with d = eps(hi) - eps(lo), the
-    multiplicity of the i-th short simple root is the prefix sum
-    d_1 + ... + d_i and the multiplicity of the long root is half the
-    total; all must be nonnegative integers.
+    Closed form on the coefficient differences d_k = hi_k - lo_k: the
+    multiplicity of the i-th short simple root is
+    d_1 + 2 d_2 + ... + i d_i + i (d_{i+1} + ... + d_n) (the i-th prefix sum
+    of the epsilon coordinates) and that of the long root is half of
+    delta(hi) - delta(lo); all must be nonnegative integers.
     """
     _same_rank(hi, lo)
-    d = [x - y for x, y in zip(to_eps(hi).coords, to_eps(lo).coords)]
+    d = [a - b for a, b in zip(hi.coeffs, lo.coeffs)]
+    rest = sum(d)  # d_{i+1} + ... + d_n, once d_i is taken off
+    partial = 0  # d_1 + 2 d_2 + ... + i d_i
+    for i, x in enumerate(d[:-1], start=1):
+        rest -= x
+        partial += i * x
+        if partial + i * rest < 0:
+            return False
+    total = partial + len(d) * d[-1]
+    return total >= 0 and total % 2 == 0
+
+
+# States of the subtraction search that passed its pruning rule, mapped to
+# whether the search reached zero from them; shared by every oracle call and
+# emptied when full, so it never holds more than _ORACLE_TABLE_MAX states.
+_ORACLE_TABLE: dict[tuple[int, ...], bool] = {}
+_ORACLE_TABLE_MAX = 1 << 14
+
+
+@lru_cache(maxsize=16)
+def _simple_root_coords(rank: int) -> tuple[tuple[int, ...], ...]:
+    """The simple roots' epsilon coordinates, short roots first."""
+    return tuple(simple_root(rank, i).coords for i in range(1, rank + 1))
+
+
+def _oracle_viable(v: tuple[int, ...]) -> bool:
+    """False when zero is provably unreachable from v: prefix sums of the
+    coordinates never increase under any move, and the full coordinate sum
+    only ever changes by 2 (so its parity is invariant)."""
     run = 0
-    for v in d[:-1]:
-        run += v
+    for x in v[:-1]:
+        run += x
         if run < 0:
             return False
-    total = run + d[-1]
+    total = run + v[-1]
     return total >= 0 and total % 2 == 0
+
+
+def _oracle_store(state: tuple[int, ...], reached: bool) -> None:
+    if len(_ORACLE_TABLE) >= _ORACLE_TABLE_MAX:
+        _ORACLE_TABLE.clear()
+    _ORACLE_TABLE[state] = reached
 
 
 def dominates_oracle(hi: Weight, lo: Weight) -> bool:
     """Decide hi - lo in R+ by explicit search over simple-root subtractions.
 
-    States are epsilon-coordinate vectors; a move subtracts one simple root.
-    A state is pruned when the zero vector is provably unreachable from it:
-    prefix sums of the coordinates never increase under any move, and the
-    full coordinate sum only ever changes by 2 (so its parity is invariant).
+    States are epsilon-coordinate vectors, starting from eps(hi) - eps(lo)
+    (the suffix sums of the coefficient differences); a move subtracts one
+    simple root.  A state failing `_oracle_viable` is pruned before any
+    lookup.  The search is depth-first on an explicit stack and records each
+    state it settles in the shared table, so a later call stops at the
+    first state an earlier one has settled.
     """
     _same_rank(hi, lo)
-    n = hi.rank
-    start = tuple(x - y for x, y in zip(to_eps(hi).coords, to_eps(lo).coords))
-    target = (0,) * n
-    roots = [simple_root(n, i).coords for i in range(1, n + 1)]
-
-    def viable(v: tuple[int, ...]) -> bool:
-        run = 0
-        for x in v[:-1]:
-            run += x
-            if run < 0:
-                return False
-        total = run + v[-1]
-        return total >= 0 and total % 2 == 0
-
-    seen = {start}
-    stack = [start]
+    start = tuple(accumulate(map(sub, reversed(hi.coeffs), reversed(lo.coeffs))))[::-1]
+    if not _oracle_viable(start):
+        return False
+    known = _ORACLE_TABLE.get(start)
+    if known is not None:
+        return known
+    roots = _simple_root_coords(hi.rank)
+    seen = {start}  # bounds this search by its distinct states, whatever the table keeps
+    stack = [(start, iter(roots))]  # each frame: a state and its untried moves
     while stack:
-        v = stack.pop()
-        if v == target:
+        v, moves = stack[-1]
+        if not any(v) or _ORACLE_TABLE.get(v):
+            for u, _ in stack:  # each state on the stack leads to v, and v to zero
+                _oracle_store(u, True)
             return True
-        if not viable(v):
-            continue
-        for r in roots:
-            child = tuple(a - b for a, b in zip(v, r))
-            if child not in seen:
+        for r in moves:
+            child = tuple(map(sub, v, r))
+            if _oracle_viable(child) and child not in seen and _ORACLE_TABLE.get(child) is not False:
                 seen.add(child)
-                stack.append(child)
+                stack.append((child, iter(roots)))
+                break
+        else:
+            _oracle_store(v, False)  # every move tried: zero is unreachable from v
+            stack.pop()
     return False
 
 

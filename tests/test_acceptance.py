@@ -9,6 +9,7 @@ silently drops inputs fails here.
 
 import time
 
+from sp2n import weights
 from sp2n.harness import (
     check_element_vs_direct,
     check_unisingular_vs_sweeps,
@@ -38,6 +39,7 @@ def test_criterion_01_singer_height_table():
 
 
 def test_criterion_02_dominance_oracle():
+    weights._ORACLE_TABLE.clear()  # time a cold search, not one earlier tests have warmed
     _via_suite(2, "dominance closed form vs subtraction search, n <= 5", "dominance", 5, 30, 75808)
 
 

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import time
 
 import pytest
 
+import sp2n.cli
 from sp2n.cli import cli_main
 
 
@@ -110,6 +113,48 @@ def test_work_limit_exceeded_exits_4(capsys, argv):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "work limit" in captured.err
     assert "Traceback" not in captured.err and not captured.out
+
+
+def test_branch_output_bounded(capsys, monkeypatch):
+    # N = 400 would print 4,020,000 weight coefficients
+    lam = ",".join(["1"] + ["0"] * 398)
+    started = time.perf_counter()
+    assert cli_main(["branch", "--N=400", f"--lambda={lam}"]) == 4
+    assert time.perf_counter() - started < 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "work limit" in captured.err
+    assert "Traceback" not in captured.err and not captured.out
+    # the bound counts exactly the coefficients printed: 550 at N = 20
+    argv = ["branch", "--N=20", "--lambda=" + ",".join(["1"] + ["0"] * 18), "--json"]
+    monkeypatch.setattr(sp2n.cli, "WORK_LIMIT", 549)
+    assert cli_main(argv) == 4
+    capsys.readouterr()
+    monkeypatch.setattr(sp2n.cli, "WORK_LIMIT", 550)
+    assert cli_main(argv) == 0
+    factors = json.loads(capsys.readouterr().out)["exterior_factors"]
+    assert sum(len(w.split(",")) for ws in factors.values() for w in ws) == 550
+
+
+def _run(argv):
+    """Run one call with fresh stdout and stderr streams; return (code, out, err)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_parser_reused_across_calls():
+    ok = ["unisingular", "8", "1,0,0,0,0,0,0,1", "--json"]
+    bad = ["unisingular", "8", "--expect", "maybe"]
+    fresh = []
+    for argv in (ok, bad, ok):
+        sp2n.cli._parser.cache_clear()
+        fresh.append(_run(argv))
+    reused = [_run(argv) for argv in (ok, bad, ok)]  # the usage error goes to the stream set at call time
+    assert reused == fresh
+    assert reused[0][0] == 0 and reused[0] == reused[2]
+    code, out, err = reused[1]
+    assert code == 2 and not out and err.startswith("usage: sp2n unisingular")
 
 
 def test_real_large_orders(capsys):

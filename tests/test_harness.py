@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from sp2n import weights
 from sp2n.harness import SUITE_NAMES, run_suite
 
 
@@ -74,3 +75,12 @@ def test_wall_time_excluded_from_json():
     rep = run_suite("si", 5)
     assert rep.wall_time > 0
     assert "wall" not in rep.to_json()
+
+
+def test_dominance_search_work_is_pinned():
+    # the oracle's search is deterministic, so the number of states it
+    # settles over the whole suite catches a complexity regression
+    weights._ORACLE_TABLE.clear()
+    rep = run_suite("dominance")
+    assert rep.cases == 75808 and rep.passed
+    assert len(weights._ORACLE_TABLE) == 3303

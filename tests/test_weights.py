@@ -1,9 +1,11 @@
+from functools import cache
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sp2n import weights
 from sp2n.arith import partition_counts
 from sp2n.weights import (
     EpsWeight,
@@ -106,6 +108,58 @@ def test_dominates_agrees_with_search_oracle():
         for hi in pool:
             for lo in pool:
                 assert dominates(hi, lo) == dominates_oracle(hi, lo), (hi, lo)
+
+
+def test_dominates_oracle_long_chain():
+    # 5,000 subtractions of the long root, on an explicit stack
+    assert dominates_oracle(Weight((10000,)), zero_weight(1))
+    assert not dominates_oracle(Weight((10001,)), zero_weight(1))
+
+
+@cache
+def _pool(n):
+    return dominant_weights_up_to(n, 20)
+
+
+_triples = st.integers(1, 6).flatmap(lambda n: st.tuples(*[st.sampled_from(_pool(n))] * 3))
+
+
+def _table_is_sound():
+    # every settled state agrees with the closed form on that difference
+    return all(
+        reached == dominates(from_eps(EpsWeight(v)), zero_weight(len(v)))
+        for v, reached in weights._ORACLE_TABLE.items()
+    )
+
+
+@settings(deadline=None)
+@given(_triples)
+def test_dominates_oracle_table_cold_and_warm(triple):
+    # delta up to 20, above the dominance suite's cap of 12
+    hi, mid, lo = triple
+    weights._ORACLE_TABLE.clear()
+    cold = dominates_oracle(hi, lo)
+    weights._ORACLE_TABLE.clear()
+    dominates_oracle(hi, mid)
+    dominates_oracle(mid, lo)
+    warm = dominates_oracle(hi, lo)
+    assert cold == warm == dominates_oracle(hi, lo) == dominates(hi, lo)
+    assert _table_is_sound()
+
+
+def test_dominates_oracle_table_bounded(monkeypatch):
+    weights._ORACLE_TABLE.clear()
+    dominates_oracle(Weight((100000,)), zero_weight(1))  # a 50,000-state chain
+    assert len(weights._ORACLE_TABLE) <= weights._ORACLE_TABLE_MAX
+    monkeypatch.setattr(weights, "_ORACLE_TABLE_MAX", 5)
+    weights._ORACLE_TABLE.clear()
+    for n in range(1, 5):
+        pool = dominant_weights_up_to(n, 7)
+        for hi in pool:
+            for lo in pool:
+                assert dominates_oracle(hi, lo) == dominates(hi, lo), (hi, lo)
+                assert len(weights._ORACLE_TABLE) <= 5
+    assert _table_is_sound()
 
 
 def test_dominates_partial_order():
