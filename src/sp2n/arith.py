@@ -1,6 +1,9 @@
 """Small exact integer helpers: multiplicative orders, trial-division
-factoring, and the totient and partition counts that size enumerations."""
+factoring, the totient and partition counts that size enumerations, and
+the partition generator behind every dominant-weight enumeration."""
 
+from collections.abc import Iterator, Sequence
+from itertools import accumulate
 from math import gcd, isqrt, prod
 
 WORK_LIMIT = 10**6  # most steps of any enumeration whose size comes from the input
@@ -45,6 +48,30 @@ def partition_counts(max_part: int, total: int) -> list[int]:
         for d in range(k, total + 1):
             p[d] += p[d - k]
     return p
+
+
+def partitions_under(bounds: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The non-increasing nonnegative tuples of length len(bounds) whose i-th prefix
+    sum is at most bounds[i], in reverse-lexicographic order.  Each step yields a
+    tuple (a zero part ends one), so the work follows the output.  Raises
+    WorkLimitError first when the partitions into len(bounds) parts with sum at
+    most bounds[-1], a superset of the output, exceed WORK_LIMIT."""
+    n = len(bounds)
+    count = sum(partition_counts(n, bounds[-1]))
+    if count > WORK_LIMIT:
+        raise WorkLimitError(f"{count} partitions of sum <= {bounds[-1]} exceed the work limit {WORK_LIMIT}")
+    caps = list(accumulate(reversed(bounds), min))[::-1]  # prefix sums never decrease
+    parts = [0] * n
+
+    def rec(i: int, total: int, largest: int) -> Iterator[tuple[int, ...]]:
+        for x in range(min(largest, caps[i] - total), -1, -1):
+            parts[i] = x
+            if x and i + 1 < n:
+                yield from rec(i + 1, total + x, x)
+            else:
+                yield tuple(parts[:i + 1]) + (0,) * (n - i - 1)
+
+    return rec(0, 0, caps[0])
 
 
 def factorize(m: int) -> dict[int, int]:

@@ -4,10 +4,11 @@ Exit codes: 0 success or suite pass, 1 verdict mismatch under --expect,
 2 usage error (also an order that trial division up to arith.FACTOR_BOUND
 cannot factor), 3 suite failure, 4 work limit exceeded: an enumeration
 sized by the input would take more than arith.WORK_LIMIT = 10^6 steps
-(torus classes, dominant weights up to the highest weight's delta,
-generator tuples times residue rows of a direct evaluation, or the weight
-coefficients `branch --N` would print: n for each exterior power's
-factor, about N^3/16 in all).
+(torus classes, partitions under the dominant-weight bounds, pairs of a
+Minkowski sum, the height of a dominance search, states of the residue
+engine, generator tuples times residue rows of a direct evaluation, or
+the weight coefficients `branch --N` would print: n for each exterior
+power's factor, about N^3/16 in all).
 """
 
 import argparse

@@ -18,6 +18,7 @@ Algebras and Representation Theory, 13.4), held by its dominant weights.
 from enum import Enum
 from functools import lru_cache
 
+from .arith import WORK_LIMIT, WorkLimitError
 from .weights import (
     EpsWeight,
     Weight,
@@ -69,11 +70,15 @@ def _weight_set_cached(coeffs: tuple[int, ...], kind: ModuleKind) -> WeightSet:
 def minkowski_sum(a: WeightSet, b: WeightSet) -> WeightSet:
     """{x + y : x in a, y in b}: both sets are Weyl-stable, so the sum is the
     union of the orbits of r + y over the representatives r of one set and
-    the members y of the other, whichever choice gives fewer pairs."""
+    the members y of the other, whichever choice gives fewer pairs; raises
+    WorkLimitError before it starts when that is more than WORK_LIMIT."""
     if a.rank != b.rank:
         raise ValueError(f"rank mismatch: {a.rank} vs {b.rank}")
     if len(a.reps) * len(b) > len(b.reps) * len(a):
         a, b = b, a
+    pairs = len(a.reps) * len(b)
+    if pairs > WORK_LIMIT:
+        raise WorkLimitError(f"{pairs} pairs of a Minkowski sum exceed the work limit {WORK_LIMIT}")
     sums = {tuple(sorted((abs(x + y) for x, y in zip(rc, m.coords)), reverse=True))
             for rc in [to_eps(r).coords for r in a.reps] for m in b}
     return WeightSet(a.rank, (from_eps(EpsWeight(c)) for c in sums))

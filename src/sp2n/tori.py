@@ -10,13 +10,14 @@ arithmetic.  `residues` is the one engine evaluating weight sets on tori
 and their elements; it works orbit by orbit and lists no orbit.
 """
 
+from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 
-from .arith import WORK_LIMIT, WorkLimitError, partition_counts
+from .arith import WORK_LIMIT, WorkLimitError, partition_counts, partitions_under
 from .weights import EpsWeight, WeightSet, to_eps
 
 
@@ -99,9 +100,9 @@ def enumerate_shapes(n: int) -> list[TorusShape]:
     if count > WORK_LIMIT:
         raise WorkLimitError(f"{count} torus classes at rank {n} exceed the work limit {WORK_LIMIT}")
     shapes: list[TorusShape] = []
-    for parts in _partitions(n, n):
+    for parts in filter(lambda p: sum(p) == n, partitions_under((n,) * n)):
         # distinct part sizes, largest first; each size gets 0..count minus signs
-        sizes = sorted(set(parts), reverse=True)
+        sizes = sorted(set(parts) - {0}, reverse=True)
         counts = [parts.count(k) for k in sizes]
         for minus in product(*(range(c, -1, -1) for c in counts)):
             blocks = []
@@ -109,16 +110,6 @@ def enumerate_shapes(n: int) -> list[TorusShape]:
                 blocks += [(k, -1)] * m + [(k, 1)] * (c - m)
             shapes.append(TorusShape(tuple(blocks)))
     return shapes
-
-
-def _partitions(n: int, max_part: int) -> list[list[int]]:
-    if n == 0:
-        return [[]]
-    out = []
-    for k in range(min(n, max_part), 0, -1):
-        for rest in _partitions(n - k, k):
-            out.append([k] + rest)
-    return out
 
 
 def block_sums(mu: EpsWeight, shape: TorusShape) -> tuple[int, ...]:
@@ -143,12 +134,19 @@ def restricts_trivially(mu: EpsWeight, shape: TorusShape) -> bool:
 
 
 def residues(ws: WeightSet, shape: TorusShape) -> frozenset[tuple[int, ...]]:
-    """The distinct tuples `block_sums(mu, shape)` over the weights mu of ws."""
+    """The distinct tuples `block_sums(mu, shape)` over the weights mu of ws.
+
+    Raises WorkLimitError before any pass runs when `_residue_work` is more
+    than WORK_LIMIT."""
     if ws.rank != shape.rank:
         raise ValueError(f"rank mismatch: {ws.rank} vs {shape.rank}")
+    orbits = [to_eps(w).coords for w in ws.reps]
+    work = _residue_work(shape, orbits)
+    if work > WORK_LIMIT:
+        raise WorkLimitError(f"{work} residue states on torus {shape} exceed the work limit {WORK_LIMIT}")
     codes = set()
-    for w in ws.reps:
-        codes.update(_residue_codes(shape.blocks, to_eps(w).coords))
+    for m in orbits:
+        codes.update(_residue_codes(shape.blocks, m))
     orders = factor_orders(shape)
     strides = [prod(orders[i + 1:]) for i in range(len(orders))]
     return frozenset(tuple(c // st % o for st, o in zip(strides, orders)) for c in codes)
@@ -168,16 +166,66 @@ def _residue_codes(blocks: tuple[tuple[int, int], ...], mags: tuple[int, ...]) -
     stride = prod(2**b - t for b, t in later)
     states = {(mags, 0)}
     for j in range(k):
-        filled = set()
-        for left, r in states:
-            for i, v in enumerate(left):
-                if i and left[i - 1] == v:
-                    continue  # equal magnitudes give equal arrangements
-                rest = left[:i] + left[i + 1:]
-                filled.add((rest, (r + (v << j)) % o))
-                filled.add((rest, (r - (v << j)) % o))
-        states = filled
+        states = _place(states, j, o)
     return tuple({r * stride + c for rest, r in states for c in _residue_codes(later, rest)})
+
+
+def _place(states: set, j: int, o: int) -> set:
+    """The states (unplaced magnitudes, residue mod o) after one more
+    magnitude is placed, with either sign, at the position worth 2^j."""
+    out = set()
+    for left, r in states:
+        for i, v in enumerate(left):
+            if i and left[i - 1] == v:
+                continue  # equal magnitudes give equal arrangements
+            rest = left[:i] + left[i + 1:]
+            out.add((rest, (r + (v << j)) % o))
+            out.add((rest, (r - (v << j)) % o))
+    return out
+
+
+def _residue_work(shape: TorusShape, orbits: list[tuple[int, ...]]) -> int:
+    """An upper bound on the states and codes `_residue_codes` creates for
+    the orbits with these magnitudes, counting each distinct call once, as
+    its cache does: the calls on the block at position p are at most the
+    sum of N_p over the orbits (see `_call_work`) and at most the multisets
+    of n - p magnitudes up to the largest, and each makes at most the most
+    any of these orbits' calls on that block can make."""
+    n, values = shape.rank, 1 + max((m[0] for m in orbits), default=0)
+    work, p = 0, 0
+    for (k, _), calls in zip(shape.blocks, zip(*(_call_work(shape.blocks, m) for m in orbits))):
+        distinct = comb(values + n - p - 1, n - p)
+        work += min(sum(c * w for c, w in calls), distinct * max(w for _, w in calls))
+        p += k
+    return work
+
+
+@lru_cache(maxsize=1 << 14)
+def _call_work(blocks: tuple[tuple[int, int], ...], mags: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """Per block at position p, the distinct calls `_residue_codes(blocks,
+    mags)` makes on it, at most N_p, and the most states and codes each makes.
+
+    With N_j the sub-multisets of mags of size j and A_j the signed
+    sequences of length j drawn from mags (which bound the same counts for
+    any unplaced rest): at step j a call holds at most min(o * N_j, A_j)
+    states, and its codes are at most prod of min(o_b, A_{k_b}) over its blocks.
+    """
+    n = len(mags)
+    subsets, seqs = [1] + [0] * n, [1] + [0] * n
+    seen = 0
+    for v, m in Counter(mags).items():  # take t copies of v, each with 2 signs unless v = 0
+        seen += m
+        for j in range(seen, 0, -1):
+            for t in range(1, min(j, m) + 1):
+                subsets[j] += subsets[j - t]
+                seqs[j] += seqs[j - t] * comb(j, t) * (2 if v else 1) ** t
+    out, codes, p = [], 1, n
+    for k, s in reversed(blocks):
+        o = 2**k - s
+        p -= k
+        codes *= min(o, seqs[k])
+        out.append((subsets[p], sum(min(o * subsets[j], seqs[j]) for j in range(1, k + 1)) + codes))
+    return tuple(reversed(out))
 
 
 def trivial_constituent(ws: WeightSet, shape: TorusShape) -> bool:

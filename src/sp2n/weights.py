@@ -12,6 +12,8 @@ the two are cross-checked exhaustively by the test suite.  The search keeps
 its own copy of the pruning rule and shares one bounded, process-wide
 table of the states that passed it, so a search stops at the first state
 an earlier search has settled.
+Dominant weights are generated, never filtered: in epsilon coordinates they
+are the partitions `arith.partitions_under` lists under prefix-sum bounds.
 """
 
 from collections import Counter
@@ -21,7 +23,7 @@ from itertools import accumulate
 from math import factorial
 from operator import sub
 
-from .arith import WORK_LIMIT, WorkLimitError, partition_counts
+from .arith import WORK_LIMIT, WorkLimitError, partitions_under
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,8 +167,7 @@ def to_eps(w: Weight) -> EpsWeight:
 
 def from_eps(e: EpsWeight) -> Weight:
     """Inverse change of basis: a_i = c_i - c_{i+1} with c_{n+1} = 0."""
-    c = e.coords
-    return Weight(tuple(c[i] - (c[i + 1] if i + 1 < len(c) else 0) for i in range(len(c))))
+    return Weight(tuple(map(sub, e.coords, e.coords[1:] + (0,))))
 
 
 def delta(w: Weight) -> int:
@@ -247,11 +248,21 @@ def dominates_oracle(hi: Weight, lo: Weight) -> bool:
     lookup.  The search is depth-first on an explicit stack and records each
     state it settles in the shared table, so a later call stops at the
     first state an earlier one has settled.
+
+    The rule is exact membership in the positive root cone, so the search
+    never backtracks: it takes at most height(hi - lo) steps, the sum of the
+    simple-root multiplicities P_1 + ... + P_{n-1} + P_n / 2 over the prefix
+    sums P_i of the start state, and raises WorkLimitError before it starts
+    when that is more than WORK_LIMIT.
     """
     _same_rank(hi, lo)
     start = tuple(accumulate(map(sub, reversed(hi.coeffs), reversed(lo.coeffs))))[::-1]
     if not _oracle_viable(start):
         return False
+    *short, total = accumulate(start)
+    height = sum(short) + total // 2
+    if height > WORK_LIMIT:
+        raise WorkLimitError(f"a search of height {height} exceeds the work limit {WORK_LIMIT}")
     known = _ORACLE_TABLE.get(start)
     if known is not None:
         return known
@@ -277,42 +288,22 @@ def dominates_oracle(hi: Weight, lo: Weight) -> bool:
 
 
 def dominant_weights_up_to(rank: int, max_delta: int) -> list[Weight]:
-    """All dominant weights of the given rank with delta at most max_delta."""
+    """All dominant weights of the given rank with delta at most max_delta, by coefficient string."""
     if rank < 1:
         raise ValueError("rank must be at least 1")
-    count = sum(partition_counts(rank, max_delta))  # a_i parts of size i: a partition of delta
-    if count > WORK_LIMIT:
-        raise WorkLimitError(f"{count} dominant weights with delta <= {max_delta} exceed the work limit {WORK_LIMIT}")
-    out: list[Weight] = []
-    acc: list[int] = []
-
-    def rec(i: int, remaining: int) -> None:
-        if i > rank:
-            out.append(Weight(tuple(acc)))
-            return
-        for a in range(remaining // i + 1):
-            acc.append(a)
-            rec(i + 1, remaining - a * i)
-            acc.pop()
-
-    rec(1, max_delta)
-    return out
+    return sorted((from_eps(EpsWeight(mu)) for mu in partitions_under((max_delta,) * rank)), key=lambda w: w.coeffs)
 
 
 def dominant_below(w: Weight) -> frozenset[Weight]:
     """All dominant weights mu with dominates(w, mu), including w itself.
 
-    Bounded search: candidates are the dominant weights with delta at most
-    delta(w) and the same delta parity (dominance preserves parity).
+    Generated: the partitions under the prefix sums of eps(w) with the parity of delta(w).
     """
     if not w.is_dominant():
         raise ValueError(f"{w} is not dominant")
-    dw = delta(w)
-    return frozenset(
-        mu
-        for mu in dominant_weights_up_to(w.rank, dw)
-        if (dw - delta(mu)) % 2 == 0 and dominates(w, mu)
-    )
+    parity = delta(w) % 2
+    return frozenset(from_eps(EpsWeight(mu)) for mu in partitions_under(list(accumulate(to_eps(w).coords)))
+                     if sum(mu) % 2 == parity)
 
 
 def weyl_orbit(e: EpsWeight) -> WeightSet:

@@ -1,8 +1,10 @@
+from itertools import accumulate, product
 from math import gcd
 
 import pytest
 
-from sp2n.arith import has_order, mult_order, partition_counts, totient
+import sp2n.arith
+from sp2n.arith import WorkLimitError, has_order, mult_order, partition_counts, partitions_under, totient
 
 
 def _mult_order_scan(a, m):
@@ -47,3 +49,32 @@ def test_partition_counts():
     assert partition_counts(10, 10) == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
     assert partition_counts(2, 6) == [1, 1, 2, 2, 3, 3, 4]
     assert partition_counts(1, 3) == [1, 1, 1, 1]
+
+
+def _partitions_brute(bounds):
+    # every non-increasing tuple over 0..max(bounds) within the prefix-sum bounds, largest first
+    n = len(bounds)
+    return sorted(
+        (t for t in product(range(max(max(bounds), 0) + 1), repeat=n)
+         if all(t[i] >= t[i + 1] for i in range(n - 1))
+         and all(s <= b for s, b in zip(accumulate(t), bounds))),
+        reverse=True,
+    )
+
+
+def test_partitions_under_matches_brute_force():
+    # bounds of every shape, negative and decreasing ones included
+    for n in range(1, 5):
+        for bounds in product(range(-1, 5 if n < 4 else 4), repeat=n):
+            assert list(partitions_under(bounds)) == _partitions_brute(bounds), bounds
+
+
+def test_partitions_under_work_is_counted_before_it_starts(monkeypatch):
+    bounds = (6, 6, 6, 6)
+    size = sum(partition_counts(4, 6))  # here every counted partition is yielded
+    assert len(list(partitions_under(bounds))) == size
+    monkeypatch.setattr(sp2n.arith, "WORK_LIMIT", size - 1)
+    with pytest.raises(WorkLimitError):
+        partitions_under(bounds)  # raised at the call, before any tuple is made
+    monkeypatch.setattr(sp2n.arith, "WORK_LIMIT", size)
+    assert len(list(partitions_under(bounds))) == size

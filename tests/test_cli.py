@@ -105,7 +105,12 @@ _OMEGA_1_RANK_20 = ",".join(["1"] + ["0"] * 19)
     ["tori", "40"],
     # 5,914,310 dominant weights with delta <= 66
     ["weights", "12", "1,1,1,1,1,1,1,1,1,1,1,0"],
-], ids=["element", "tori", "weights"])
+    # 2,771,968 and 20,401,152 pairs of the Minkowski sum with the orbit of w_n
+    ["weights", "9", "1,1,1,1,1,1,1,1,1"],
+    ["weights", "10", "1,1,1,1,1,1,1,1,1,1"],
+    # residue states of the orbits below w_39 on a torus of order 1048575^2
+    ["torus-trivial", "40", ",".join(["0"] * 38 + ["1", "0"]), "--torus", "20,20"],
+], ids=["element", "tori", "weights", "minkowski-9", "minkowski-10", "residues"])
 def test_work_limit_exceeded_exits_4(capsys, argv):
     started = time.perf_counter()
     assert cli_main(argv) == 4
@@ -183,6 +188,9 @@ def test_weights_counted_per_orbit(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["cardinality"] == "12402170"
     assert len(out["dominant_members"]) == 407
+    # a Minkowski sum of 380,416 pairs, below the work limit: 1,486 orbits times the 256 weights of w_8
+    assert cli_main(["weights", "8", "1,1,1,1,1,1,1,1", "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["dominant_members"]) == 3584
 
 
 def test_fallback_sized_by_weights_not_torus(capsys):

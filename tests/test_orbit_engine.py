@@ -8,15 +8,18 @@ sets as the explicit Minkowski sum with the orbit of the top fundamental
 weight.
 """
 
+from functools import cache
 from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sp2n import tori
+from sp2n.arith import WorkLimitError
 from sp2n.criteria import th7_blocks
 from sp2n.reps import ModuleKind, weight_set
-from sp2n.tori import enumerate_shapes, residues
+from sp2n.tori import TorusShape, enumerate_shapes, residues
 from sp2n.weights import (
     EpsWeight,
     Weight,
@@ -142,3 +145,58 @@ def test_weight_set_holds_dominant_representatives():
         WeightSet(2, [Weight((1, -1))])
     with pytest.raises(ValueError):
         WeightSet(2, [Weight((1, 0, 0))])
+
+
+def _created(ws, shape, mp):
+    """The states and codes the engine makes for ws on shape from a cold
+    cache: every state set a pass returns and every code tuple a call joins."""
+    created = 0
+    place, body = tori._place, tori._residue_codes.__wrapped__
+
+    def counting_place(*args):
+        nonlocal created
+        out = place(*args)
+        created += len(out)
+        return out
+
+    @cache
+    def counting_codes(blocks, mags):
+        nonlocal created
+        out = body(blocks, mags)  # its calls on the later blocks come back here
+        created += len(out) if blocks else 0
+        return out
+
+    mp.setattr(tori, "_place", counting_place)
+    mp.setattr(tori, "_residue_codes", counting_codes)
+    residues(ws, shape)
+    return created
+
+
+def _residue_work(ws, shape):
+    return tori._residue_work(shape, [to_eps(w).coords for w in ws.reps])
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_residue_work_bounds_states_created(n, monkeypatch):
+    for w, kind in _modules(n):
+        ws = weight_set(w, kind)
+        for shape in enumerate_shapes(n):
+            with monkeypatch.context() as mp:
+                created = _created(ws, shape, mp)
+            assert created <= _residue_work(ws, shape), (w, kind, shape)
+
+
+def test_residue_work_is_counted_before_any_pass(monkeypatch):
+    ws, shape = weight_set(Weight((1, 1, 0, 1))), TorusShape(((2, -1), (2, 1)))
+    bound = _residue_work(ws, shape)
+    passes = []
+    place = tori._place
+    monkeypatch.setattr(tori, "_place", lambda *args: passes.append(args) or place(*args))
+    monkeypatch.setattr(tori, "WORK_LIMIT", bound - 1)
+    tori._residue_codes.cache_clear()
+    with pytest.raises(WorkLimitError):
+        residues(ws, shape)
+    assert not passes
+    monkeypatch.setattr(tori, "WORK_LIMIT", bound)
+    assert residues(ws, shape) == _listed_residues(_listed(Weight((1, 1, 0, 1)), IRR2), 4)[shape]
+    assert passes

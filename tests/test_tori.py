@@ -83,6 +83,31 @@ def test_enumerate_shapes_count_matches_generating_function(monkeypatch):
             assert len(enumerate_shapes(n)) == size
 
 
+def _reference_partitions(n, max_part):
+    # the partitions of n with parts at most max_part, largest part first, largest partition first
+    if n == 0:
+        return [[]]
+    return [[k] + rest for k in range(min(n, max_part), 0, -1) for rest in _reference_partitions(n - k, k)]
+
+
+def _reference_shapes(n):
+    shapes = []
+    for parts in _reference_partitions(n, n):
+        sizes = sorted(set(parts), reverse=True)
+        counts = [parts.count(k) for k in sizes]
+        for minus in product(*(range(c, -1, -1) for c in counts)):
+            blocks = []
+            for k, c, m in zip(sizes, counts, minus):
+                blocks += [(k, -1)] * m + [(k, 1)] * (c - m)
+            shapes.append(TorusShape(tuple(blocks)))
+    return shapes
+
+
+def test_enumerate_shapes_matches_reference_recursion():
+    for n in range(1, 15):
+        assert enumerate_shapes(n) == _reference_shapes(n), n
+
+
 def test_torus_order_examples():
     for n in range(1, 8):
         assert torus_order(singer_shape(n)) == 2**n + 1

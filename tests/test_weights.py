@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sp2n import weights
-from sp2n.arith import partition_counts
+from sp2n.arith import WorkLimitError, partition_counts
 from sp2n.weights import (
     EpsWeight,
     Weight,
@@ -116,6 +116,23 @@ def test_dominates_oracle_long_chain():
     assert not dominates_oracle(Weight((10001,)), zero_weight(1))
 
 
+def test_dominates_oracle_work_is_counted_before_it_starts(monkeypatch):
+    # eps(1,0,1) = (2,1,1) = 2(e1-e2) + 3(e2-e3) + 2(2e3): height 7
+    hi, lo = Weight((1, 0, 1)), zero_weight(3)
+    monkeypatch.setattr(weights, "WORK_LIMIT", 6)
+    weights._ORACLE_TABLE.clear()
+    with pytest.raises(WorkLimitError):
+        dominates_oracle(hi, lo)
+    assert not weights._ORACLE_TABLE
+    assert not dominates_oracle(lo, hi)  # pruned at the start: nothing to count
+    monkeypatch.setattr(weights, "WORK_LIMIT", 7)
+    assert dominates_oracle(hi, lo)
+    assert weights._ORACLE_TABLE[(2, 1, 1)]
+    monkeypatch.setattr(weights, "WORK_LIMIT", 6)
+    with pytest.raises(WorkLimitError):  # counted before the table is read
+        dominates_oracle(hi, lo)
+
+
 @cache
 def _pool(n):
     return dominant_weights_up_to(n, 20)
@@ -213,6 +230,26 @@ def test_dominant_below_examples():
     assert dominant_below(fundamental(2, 2)) == {fundamental(2, 2), zero_weight(2)}
     assert dominant_below(fundamental(2, 1)) == {fundamental(2, 1)}
     assert dominant_below(Weight((1, 1))) == {Weight((1, 1)), Weight((1, 0))}
+
+
+def _dominant_brute(n, max_delta):
+    # every coefficient string with delta at most max_delta, in product (lexicographic) order
+    ranges = (range(max_delta // i + 1) for i in range(1, n + 1))
+    return [w for w in map(Weight, product(*ranges)) if delta(w) <= max_delta]
+
+
+def test_dominant_weights_up_to_matches_brute_force():
+    for n in range(1, 7):
+        for max_delta in range(11):
+            assert dominant_weights_up_to(n, max_delta) == _dominant_brute(n, max_delta), (n, max_delta)
+
+
+def test_dominant_below_matches_oracle_filter():
+    for n in range(1, 7):
+        pool = _dominant_brute(n, 10)
+        for w in pool:
+            expected = {mu for mu in pool if delta(mu) <= delta(w) and dominates_oracle(w, mu)}
+            assert dominant_below(w) == expected, w
 
 
 def test_dominant_below_rejects_non_dominant():
