@@ -5,10 +5,10 @@ Exit codes: 0 success or suite pass, 1 verdict mismatch under --expect,
 cannot factor), 3 suite failure, 4 work limit exceeded: an enumeration
 sized by the input would take more than arith.WORK_LIMIT = 10^6 steps
 (torus classes, partitions under the dominant-weight bounds, pairs of a
-Minkowski sum, the height of a dominance search, states of the residue
-engine, generator tuples times residue rows of a direct evaluation, or
-the weight coefficients `branch --N` would print: n for each exterior
-power's factor, about N^3/16 in all).
+Minkowski sum, the height of a dominance search, mask words and codes of
+the residue engine, generator tuples times residue rows of a direct
+evaluation, or the weight coefficients `branch --N` would print: n for
+each exterior power's factor, about N^3/16 in all).
 """
 
 import argparse

@@ -7,7 +7,8 @@ offset j evaluates on the block generator as zeta^(2^j), so a weight
 restricts to a block as the residue sum(c_j * 2^j) modulo the factor
 order.  All wrap-around relations are automatic in the modular
 arithmetic.  `residues` is the one engine evaluating weight sets on tori
-and their elements; it works orbit by orbit and lists no orbit.
+and their elements; it lists no orbit, keeping on each block one o-bit
+mask (o the block's order) of the residues reached per unplaced rest.
 """
 
 from collections import Counter
@@ -140,92 +141,91 @@ def residues(ws: WeightSet, shape: TorusShape) -> frozenset[tuple[int, ...]]:
     than WORK_LIMIT."""
     if ws.rank != shape.rank:
         raise ValueError(f"rank mismatch: {ws.rank} vs {shape.rank}")
-    orbits = [to_eps(w).coords for w in ws.reps]
-    work = _residue_work(shape, orbits)
+    orbits = tuple(to_eps(w).coords for w in ws.reps)
+    work = _residue_work(shape, orbits, WORK_LIMIT)
     if work > WORK_LIMIT:
-        raise WorkLimitError(f"{work} residue states on torus {shape} exceed the work limit {WORK_LIMIT}")
-    codes = set()
-    for m in orbits:
-        codes.update(_residue_codes(shape.blocks, m))
+        raise WorkLimitError(f"{work} residue mask words and codes on torus {shape} exceed the work limit {WORK_LIMIT}")
     orders = factor_orders(shape)
     strides = [prod(orders[i + 1:]) for i in range(len(orders))]
-    return frozenset(tuple(c // st % o for st, o in zip(strides, orders)) for c in codes)
+    return frozenset(tuple(c // st % o for st, o in zip(strides, orders)) for c in _residue_codes(shape.blocks, orbits))
 
 
 @lru_cache(maxsize=1 << 14)
-def _residue_codes(blocks: tuple[tuple[int, int], ...], mags: tuple[int, ...]) -> tuple[int, ...]:
-    """Residue tuples r of the signed arrangements of the sorted magnitudes
-    `mags` over `blocks`, each packed as sum(r_i * product of later orders):
-    the first block is filled position by position, keeping the unplaced
-    magnitudes and partial residue, then joined with the later blocks.
-    The result holds one code per distinct tuple, never one per torus element."""
+def _residue_codes(blocks: tuple[tuple[int, int], ...], orbits: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """Residue tuples r of the signed arrangements over `blocks` of the
+    sorted magnitudes in `orbits`, each packed as sum(r_i * product of later
+    orders), one code per distinct tuple: the first block, of order o, is
+    filled position by position, keeping for each unplaced rest (a key) one
+    o-bit mask of the residues reached; then each key is joined, at the set
+    bits of its mask only, with the codes of its rest on the later blocks."""
     if not blocks:
         return (0,)
     (k, s), later = blocks[0], blocks[1:]
-    o = 2**k - s
-    stride = prod(2**b - t for b, t in later)
-    states = {(mags, 0)}
+    o, stride = 2**k - s, prod(2**b - t for b, t in later)
+    states = dict.fromkeys(orbits, 1)
     for j in range(k):
         states = _place(states, j, o)
-    return tuple({r * stride + c for rest, r in states for c in _residue_codes(later, rest)})
+    codes = set()
+    for rest, mask in states.items():
+        tail, bits = _residue_codes(later, (rest,)), bin(mask)[:1:-1]  # bit r at index r
+        r = bits.find("1")
+        while r >= 0:
+            codes.update(r * stride + c for c in tail)
+            r = bits.find("1", r + 1)
+    return tuple(codes)
 
 
-def _place(states: set, j: int, o: int) -> set:
-    """The states (unplaced magnitudes, residue mod o) after one more
-    magnitude is placed, with either sign, at the position worth 2^j."""
-    out = set()
-    for left, r in states:
+def _place(states: dict, j: int, o: int) -> dict:
+    """The states {unplaced rest: mask of residues mod o} after one more
+    magnitude v is placed, with either sign, at the position worth 2^j: the
+    mask rotated by +(v * 2^j) and by -(v * 2^j) mod o."""
+    full, out = (1 << o) - 1, {}
+    for left, mask in states.items():
+        both = mask | mask << o  # bit r at r and r + o: a rotation is one shift
         for i, v in enumerate(left):
             if i and left[i - 1] == v:
                 continue  # equal magnitudes give equal arrangements
-            rest = left[:i] + left[i + 1:]
-            out.add((rest, (r + (v << j)) % o))
-            out.add((rest, (r - (v << j)) % o))
+            a, rest = (v << j) % o, left[:i] + left[i + 1:]
+            out[rest] = out.get(rest, 0) | ((both >> a | both >> (o - a)) & full)
     return out
 
 
-def _residue_work(shape: TorusShape, orbits: list[tuple[int, ...]]) -> int:
-    """An upper bound on the states and codes `_residue_codes` creates for
-    the orbits with these magnitudes, counting each distinct call once, as
-    its cache does: the calls on the block at position p are at most the
-    sum of N_p over the orbits (see `_call_work`) and at most the multisets
-    of n - p magnitudes up to the largest, and each makes at most the most
-    any of these orbits' calls on that block can make."""
-    n, values = shape.rank, 1 + max((m[0] for m in orbits), default=0)
-    work, p = 0, 0
-    for (k, _), calls in zip(shape.blocks, zip(*(_call_work(shape.blocks, m) for m in orbits))):
-        distinct = comb(values + n - p - 1, n - p)
-        work += min(sum(c * w for c, w in calls), distinct * max(w for _, w in calls))
-        p += k
+@lru_cache(maxsize=1 << 14)
+def _residue_work(shape: TorusShape, orbits: tuple[tuple[int, ...], ...], limit: int) -> int:
+    """An upper bound on the mask words and codes `_residue_codes(shape.blocks,
+    orbits)` creates from a cold cache: the first call's keys and codes are at
+    most its orbits' taken one at a time, its codes also at most the torus
+    order; each distinct call on a later block, on one rest, counts once as
+    its cache does.  Counting stops at the first block past `limit`."""
+    first = [_call_work(shape.blocks, m) for m in orbits]
+    work, calls = sum(w for w, _ in first) + min(sum(c for _, c in first), torus_order(shape)), set(orbits)
+    for b, (k, _) in enumerate(shape.blocks[:-1]):
+        if work > limit:
+            break
+        for _ in range(k):
+            calls = {left[:i] + left[i + 1:] for left in calls for i in range(len(left))}
+        work += sum(sum(_call_work(shape.blocks[b + 1:], m)) for m in calls)
     return work
 
 
 @lru_cache(maxsize=1 << 14)
-def _call_work(blocks: tuple[tuple[int, int], ...], mags: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """Per block at position p, the distinct calls `_residue_codes(blocks,
-    mags)` makes on it, at most N_p, and the most states and codes each makes.
-
-    With N_j the sub-multisets of mags of size j and A_j the signed
-    sequences of length j drawn from mags (which bound the same counts for
-    any unplaced rest): at step j a call holds at most min(o * N_j, A_j)
-    states, and its codes are at most prod of min(o_b, A_{k_b}) over its blocks.
-    """
-    n = len(mags)
-    subsets, seqs = [1] + [0] * n, [1] + [0] * n
-    seen = 0
+def _call_work(blocks: tuple[tuple[int, int], ...], mags: tuple[int, ...]) -> tuple[int, int]:
+    """Bounds on the mask words of the keys `_residue_codes(blocks, (mags,))`
+    creates and on the codes it returns.  With N_j the sub-multisets of mags
+    of size j and A_j the signed sequences of length j drawn from mags: step
+    j on a block of order o has at most N_j keys of ceil(o / 64) words, but
+    the key with only zeros placed holds residue 0 alone, in one word; the
+    codes are at most the product of min(o_b, A_{k_b}) over the blocks."""
+    n, zeros, (k, s) = len(mags), mags.count(0), blocks[0]
+    subsets, seqs, seen, words = [1] + [0] * n, [1] + [0] * n, 0, (2**k - s + 63) // 64
     for v, m in Counter(mags).items():  # take t copies of v, each with 2 signs unless v = 0
         seen += m
         for j in range(seen, 0, -1):
             for t in range(1, min(j, m) + 1):
                 subsets[j] += subsets[j - t]
                 seqs[j] += seqs[j - t] * comb(j, t) * (2 if v else 1) ** t
-    out, codes, p = [], 1, n
-    for k, s in reversed(blocks):
-        o = 2**k - s
-        p -= k
-        codes *= min(o, seqs[k])
-        out.append((subsets[p], sum(min(o * subsets[j], seqs[j]) for j in range(1, k + 1)) + codes))
-    return tuple(reversed(out))
+    keys = sum(subsets[j] * words - (j <= zeros) * (words - 1) for j in range(1, k + 1))
+    return keys, prod(min(2**b - t, seqs[b]) for b, t in blocks)
 
 
 def trivial_constituent(ws: WeightSet, shape: TorusShape) -> bool:

@@ -108,7 +108,7 @@ _OMEGA_1_RANK_20 = ",".join(["1"] + ["0"] * 19)
     # 2,771,968 and 20,401,152 pairs of the Minkowski sum with the orbit of w_n
     ["weights", "9", "1,1,1,1,1,1,1,1,1"],
     ["weights", "10", "1,1,1,1,1,1,1,1,1,1"],
-    # residue states of the orbits below w_39 on a torus of order 1048575^2
+    # residue mask words and codes of the orbits below w_39 on a torus of order 1048575^2
     ["torus-trivial", "40", ",".join(["0"] * 38 + ["1", "0"]), "--torus", "20,20"],
 ], ids=["element", "tori", "weights", "minkowski-9", "minkowski-10", "residues"])
 def test_work_limit_exceeded_exits_4(capsys, argv):
@@ -194,7 +194,8 @@ def test_weights_counted_per_orbit(capsys):
 
 
 def test_fallback_sized_by_weights_not_torus(capsys):
-    # tori of order 65535^2 and 1048575^2: only the 64 and 80 weights are evaluated
+    # tori of order 65535^2 and 1048575^2: only the 64 and 80 weights are
+    # evaluated, on residue masks of one block's order, 65,535 and 1,048,575 bits
     started = time.perf_counter()
     for n, label in ((32, "16,16"), (40, "20,20")):
         omega_1 = ",".join(["1"] + ["0"] * (n - 1))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sp2n import weights
+from sp2n import tori, weights
 from sp2n.harness import SUITE_NAMES, run_suite
 
 
@@ -84,3 +84,22 @@ def test_dominance_search_work_is_pinned():
     rep = run_suite("dominance")
     assert rep.cases == 75808 and rep.passed
     assert len(weights._ORACLE_TABLE) == 3303
+
+
+def test_th2_residue_keys_are_pinned(monkeypatch):
+    # the residue engine is deterministic, so the number of keys its passes
+    # create over the whole suite from a cold cache catches a complexity regression
+    keys = 0
+    place = tori._place
+
+    def counting_place(*args):
+        nonlocal keys
+        out = place(*args)
+        keys += len(out)
+        return out
+
+    monkeypatch.setattr(tori, "_place", counting_place)
+    tori._residue_codes.cache_clear()
+    rep = run_suite("th2")
+    assert rep.cases == 5460 and rep.passed
+    assert keys == 10181
