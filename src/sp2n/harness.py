@@ -11,7 +11,8 @@ import json
 import time
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from math import gcd, lcm
+from math import gcd
+from operator import mul
 
 from .branching import (
     eps_restrict,
@@ -42,7 +43,7 @@ from .tori import (
     TorusShape,
     block_sums,
     enumerate_shapes,
-    eval_weight,
+    eval_coefficients,
     factor_orders,
     residues,
     singer_shape,
@@ -176,7 +177,7 @@ def _suite_m22(max_n: int):
             if len(set(legs)) != 1:
                 _fail(failures, f"n={n} w={w}", f"closed={closed} ineq={ineq} dom={dom}", f"zero-membership={zero}")
             if n <= 4:  # couple the membership identity to the listed weights
-                sat = weight_set(w - wn).members
+                sat = frozenset(weight_set(w - wn))
                 direct = any(-y in sat for y in weyl_orbit(to_eps(wn)))
                 if direct != zero:
                     _fail(failures, f"n={n} w={w} materialized", zero, direct)
@@ -243,16 +244,15 @@ def _suite_th2(max_n: int):
 def _suite_ff2(max_n: int):
     cases, failures = 0, []
     for n in range(1, max_n + 1):
-        orbit = weyl_orbit(to_eps(fundamental(n, n)))
+        orbit = list(weyl_orbit(to_eps(fundamental(n, n))).member_coords())
         for g in enumerate_elements(n):
             if g.order > 10**4:
                 continue
             predicted = omega_n_eigenvalue_orders(g)
             for us in generator_tuples(g):
                 cases += 1
-                t = to_torus_element(g, us)
-                L = lcm(*factor_orders(t.shape))
-                realized = frozenset(L // gcd(L, eval_weight(mu, t)) for mu in orbit)
+                L, c = eval_coefficients(to_torus_element(g, us))
+                realized = frozenset(L // gcd(L, sum(map(mul, c, v))) for v in orbit)
                 if realized != predicted:
                     _fail(failures, f"n={n} g={g} u={us}", sorted(predicted), sorted(realized))
     return cases, failures, []
@@ -260,18 +260,26 @@ def _suite_ff2(max_n: int):
 
 def check_element_vs_direct(max_n: int):
     """Closed-form per-element verdicts for top-coefficient weights against
-    direct evaluation over every generator choice."""
+    direct evaluation over every generator choice.  At each generator tuple
+    a weight's value is one dot product (`eval_coefficients`); the members
+    of L(w) are streamed, never stored, and the one that last vanished for
+    w is tried first, since it mostly vanishes on the next tuples too."""
     cases, failures = 0, []
     for n in range(1, max_n + 1):
-        elements = enumerate_elements(n)
+        elements = [(g, [(us, eval_coefficients(to_torus_element(g, us))) for us in generator_tuples(g)])
+                    for g in enumerate_elements(n)]
         for w in _restricted_top(n):
             ws = weight_set(w)
-            for g in elements:
+            hit = None  # the member that last vanished for w
+            for g, forms in elements:
                 fast = element_has_one(w, g).decision == YES
-                for us in generator_tuples(g):
+                for us, (L, c) in forms:
                     cases += 1
-                    t = to_torus_element(g, us)
-                    direct = any(eval_weight(mu, t) == 0 for mu in ws)
+                    direct = hit is not None and sum(map(mul, c, hit)) % L == 0
+                    if not direct:
+                        found = next((v for v in ws.member_coords() if sum(map(mul, c, v)) % L == 0), None)
+                        if found is not None:
+                            hit, direct = found, True
                     if fast != direct:
                         _fail(failures, f"n={n} w={w} g={g} u={us}", fast, direct)
     return cases, failures

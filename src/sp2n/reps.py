@@ -79,8 +79,9 @@ def minkowski_sum(a: WeightSet, b: WeightSet) -> WeightSet:
     pairs = len(a.reps) * len(b)
     if pairs > WORK_LIMIT:
         raise WorkLimitError(f"{pairs} pairs of a Minkowski sum exceed the work limit {WORK_LIMIT}")
-    sums = {tuple(sorted((abs(x + y) for x, y in zip(rc, m.coords)), reverse=True))
-            for rc in [to_eps(r).coords for r in a.reps] for m in b}
+    members = list(b.member_coords())  # read once, not once per representative
+    sums = {tuple(sorted((abs(x + y) for x, y in zip(rc, m)), reverse=True))
+            for rc in [to_eps(r).coords for r in a.reps] for m in members}
     return WeightSet(a.rank, (from_eps(EpsWeight(c)) for c in sums))
 
 

@@ -17,6 +17,7 @@ are the partitions `arith.partitions_under` lists under prefix-sum bounds.
 """
 
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -97,7 +98,8 @@ class WeightSet:
     """A finite union of Weyl orbits (signed permutations of epsilon
     coordinates) of one rank, held by the orbits' dominant weights sorted by
     coefficient string.  Size and membership are answered per orbit; the
-    epsilon-basis members are listed only on request."""
+    epsilon-basis members are generated only on request (`member_coords`,
+    iteration), and held only by `members`."""
 
     rank: int
     reps: tuple[Weight, ...]
@@ -112,17 +114,23 @@ class WeightSet:
     def __len__(self) -> int:
         return sum(_orbit_size(to_eps(w).coords) for w in self.reps)
 
-    def __iter__(self):
-        return iter(self.members)
+    def __iter__(self) -> Iterator[EpsWeight]:
+        return map(EpsWeight, self.member_coords())
 
     def __contains__(self, item) -> bool:
         return (isinstance(item, EpsWeight) and item.rank == self.rank
                 and dominant_representative(item) in self.reps)
 
+    def member_coords(self) -> Iterator[tuple[int, ...]]:
+        """The epsilon coordinates of every weight, orbit by orbit, generated
+        as they are consumed and kept nowhere."""
+        for w in self.reps:
+            yield from _arrangements(to_eps(w).coords)
+
     @cached_property
     def members(self) -> frozenset[EpsWeight]:
         """Every weight, in epsilon coordinates (built once, on first use)."""
-        return frozenset(EpsWeight(v) for w in self.reps for v in _arrangements(to_eps(w).coords))
+        return frozenset(self)
 
 
 def _same_rank(a, b) -> None:

@@ -1,9 +1,15 @@
 import json
+from dataclasses import replace
+from math import lcm
 
 import pytest
 
-from sp2n import tori, weights
+from sp2n import harness, reps, tori, weights
+from sp2n.criteria import NO, YES
+from sp2n.elements import build_element, enumerate_elements, generator_tuples, to_torus_element
 from sp2n.harness import SUITE_NAMES, run_suite
+from sp2n.tori import block_sums, factor_orders
+from sp2n.weights import Weight, fundamental
 
 
 def test_unknown_suite():
@@ -103,3 +109,63 @@ def test_th2_residue_keys_are_pinned(monkeypatch):
     rep = run_suite("th2")
     assert rep.cases == 5460 and rep.passed
     assert keys == 10181
+
+
+def _value_by_blocks(mu, t):
+    """The value of mu at t from its block residues, without `eval_coefficients`."""
+    orders = factor_orders(t.shape)
+    L = lcm(*orders)
+    return sum(L // o * m * r for o, m, r in zip(orders, t.exponents, block_sums(mu, t.shape))) % L
+
+
+def _member_by_member(max_n):
+    """Reference element oracle: every member of L(w) evaluated from its
+    block residues at every generator tuple, none tried first."""
+    cases, failures = 0, []
+    for n in range(1, max_n + 1):
+        elements = enumerate_elements(n)
+        for w in harness._restricted_top(n):
+            ws = reps.weight_set(w)
+            for g in elements:
+                fast = harness.element_has_one(w, g).decision == YES
+                for us in generator_tuples(g):
+                    cases += 1
+                    t = to_torus_element(g, us)
+                    direct = any(_value_by_blocks(mu, t) == 0 for mu in ws)
+                    if fast != direct:
+                        harness._fail(failures, f"n={n} w={w} g={g} u={us}", fast, direct)
+    return cases, failures
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_element_oracle_matches_member_by_member_loop(n):
+    got = harness.check_element_vs_direct(n)
+    assert got == _member_by_member(n)
+    assert got[1] == []
+
+
+def test_element_oracle_reports_a_flipped_verdict(monkeypatch):
+    # flip the closed form on one (w, g) pair at n = 3: both oracles must
+    # report the same records, one per generator tuple of g
+    w, g = Weight((0, 1, 1)), build_element([(2, 5, -1), (1, 3, -1)])
+    real = harness.element_has_one
+
+    def flipped(w2, g2):
+        v = real(w2, g2)
+        return replace(v, decision=NO if v.decision == YES else YES) if (w2, g2) == (w, g) else v
+
+    monkeypatch.setattr(harness, "element_has_one", flipped)
+    cases, failures = harness.check_element_vs_direct(3)
+    assert (cases, failures) == _member_by_member(3)
+    assert len(failures) == len(list(generator_tuples(g))) > 0
+    assert all(f["input"].startswith(f"n=3 w={w} g={g} u=") for f in failures)
+
+
+def test_element_oracle_caches_no_members():
+    reps._weight_set_cached.cache_clear()
+    harness.check_element_vs_direct(5)
+    for n in range(1, 6):
+        for w in harness._restricted_top(n):
+            # cache hits: the very sets the oracle used, its a_n = 0 parts included
+            for ws in (reps.weight_set(w), reps.weight_set(w - fundamental(n, n))):
+                assert "members" not in ws.__dict__, w

@@ -105,6 +105,8 @@ def _check(w, kind):
     n = w.rank
     ws = weight_set(w, kind)
     listed = _listed(w, kind)
+    streamed = list(ws.member_coords())
+    assert len(streamed) == len(listed) and set(streamed) == listed, (w, kind)  # each member once
     assert ws.members == {EpsWeight(v) for v in listed}, (w, kind)
     assert len(ws) == len(listed), (w, kind)
     radius = 2 if n <= 4 else 1
@@ -143,6 +145,7 @@ def test_weight_set_holds_dominant_representatives():
     assert ws.reps == (Weight((0, 1)), Weight((1, 0)))
     assert len(ws) == 4 + 4
     assert EpsWeight((0, -1)) in ws and EpsWeight((2, 0)) not in ws
+    assert len(list(ws)) == 8 and "members" not in ws.__dict__  # iteration streams, keeps nothing
     with pytest.raises(ValueError):
         WeightSet(2, [Weight((1, -1))])
     with pytest.raises(ValueError):

@@ -1,6 +1,9 @@
 from itertools import product
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sp2n.tori
 from sp2n.arith import WorkLimitError, partition_counts
@@ -8,8 +11,10 @@ from sp2n.reps import ModuleKind, weight_set
 from sp2n.tori import (
     TorusElement,
     TorusShape,
+    _eval_residues,
     block_sums,
     enumerate_shapes,
+    eval_coefficients,
     eval_weight,
     factor_orders,
     occurs_in_omega_n,
@@ -176,6 +181,34 @@ def test_eval_weight_examples():
     ident = TorusElement(TorusShape(((1, -1), (1, -1))), (0, 0))
     assert eval_weight(EpsWeight((1, -1)), ident) == 0
     assert eval_weight(EpsWeight((0, 0)), t) == 0
+
+
+@st.composite
+def _element_and_weight(draw):
+    """A torus element of a random shape of rank at most 6 and an epsilon weight of that rank."""
+    n = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from(enumerate_shapes(n)))
+    exponents = tuple(draw(st.integers(0, o - 1)) for o in factor_orders(shape))
+    mu = EpsWeight(tuple(draw(st.lists(st.integers(-12, 12), min_size=n, max_size=n))))
+    return TorusElement(shape, exponents), mu
+
+
+@settings(max_examples=200, deadline=None)
+@given(_element_and_weight())
+def test_dot_product_matches_block_residues(case):
+    t, mu = case
+    L, c = eval_coefficients(t)
+    assert L == lcm(*factor_orders(t.shape)) and len(c) == t.shape.rank
+    value = sum(x * m for x, m in zip(c, mu.coords)) % L
+    assert value == next(_eval_residues([block_sums(mu, t.shape)], t)) == eval_weight(mu, t)
+    # the block-residue evaluation written out with its own coefficients
+    rs = block_sums(mu, t.shape)
+    assert value == sum(L // o * m * r for o, m, r in zip(factor_orders(t.shape), t.exponents, rs)) % L
+
+
+def test_eval_weight_rank_mismatch():
+    with pytest.raises(ValueError):
+        eval_weight(EpsWeight((1, 0, 0)), TorusElement(singer_shape(2), (1,)))
 
 
 def test_torus_element_validation():
