@@ -9,15 +9,16 @@ order.  All wrap-around relations are automatic in the modular
 arithmetic.  `residues` is the one engine evaluating weight sets on tori
 and their elements; it lists no orbit, keeping on each block one o-bit
 mask (o the block's order) of the residues reached per unplaced rest.
-`eval_coefficients` is the one definition of a value at a torus element
-in canonical form: a dot product with the epsilon coordinates.
+`_block_coefficients` is the one definition of a value at a torus element
+in canonical form; `eval_coefficients` turns it into a dot product with
+the epsilon coordinates.
 """
 
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import product
 from math import comb, gcd, lcm, prod
 from operator import mul
 
@@ -245,18 +246,22 @@ def occurs_in_omega_n(residues: tuple[int, ...], shape: TorusShape) -> bool:
     return all(r != 0 for r, (_, s) in zip(residues, shape.blocks) if s == -1)
 
 
-def eval_coefficients(t: TorusElement) -> tuple[int, tuple[int, ...]]:
-    """(L, c) with L the lcm of the factor orders and, for the coordinate at
-    offset j of block b (order o_b, exponent m_b), c_j = (L / o_b) * m_b * 2^j
-    mod L: a weight mu takes the value sum(c_j * mu_j) mod L at t.  This is
-    the block-residue evaluation of `_eval_residues`, since (L / o_b) * m_b * r
-    mod L does not change when r is reduced mod o_b."""
+def _block_coefficients(t: TorusElement) -> tuple[int, list[int]]:
+    """(L, [(L / o_b) * m_b mod L per block b]), L the lcm of the factor
+    orders: a character with block residues r takes the value
+    sum((L / o_b) * m_b * r_b) mod L at t, whether or not r_b is reduced
+    mod o_b."""
     orders = factor_orders(t.shape)
     L = lcm(*orders)
-    c = []
-    for (k, _), o, m in zip(t.shape.blocks, orders, t.exponents):
-        c += [(L // o * m << j) % L for j in range(k)]
-    return L, tuple(c)
+    return L, [L // o * m % L for o, m in zip(orders, t.exponents)]
+
+
+def eval_coefficients(t: TorusElement) -> tuple[int, tuple[int, ...]]:
+    """(L, c) with c_j = (L / o_b) * m_b * 2^j mod L for the coordinate at
+    offset j of block b: a weight mu takes the value sum(c_j * mu_j) mod L
+    at t, its block-residue value, since block b sums 2^j * mu_j."""
+    L, coefs = _block_coefficients(t)
+    return L, tuple((cb << j) % L for (k, _), cb in zip(t.shape.blocks, coefs) for j in range(k))
 
 
 def eval_weight(mu: EpsWeight, t: TorusElement) -> int:
@@ -272,11 +277,8 @@ def eval_weight(mu: EpsWeight, t: TorusElement) -> int:
 
 def _eval_residues(rows: Iterable[tuple[int, ...]], t: TorusElement) -> Iterator[int]:
     """Values at t, modulo lcm of the factor orders, of the characters whose
-    block residues are the tuples in rows: the coefficient of a block is
-    that of its offset-0 coordinate."""
-    L, c = eval_coefficients(t)
-    starts = accumulate((k for k, _ in t.shape.blocks), initial=0)
-    coefs = [c[p] for p, _ in zip(starts, t.shape.blocks)]
+    block residues are the tuples in rows."""
+    L, coefs = _block_coefficients(t)
     return (sum(map(mul, coefs, rs)) % L for rs in rows)
 
 

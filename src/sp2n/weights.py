@@ -19,7 +19,7 @@ are the partitions `arith.partitions_under` lists under prefix-sum bounds.
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate
 from math import factorial
 from operator import sub
@@ -99,7 +99,7 @@ class WeightSet:
     coordinates) of one rank, held by the orbits' dominant weights sorted by
     coefficient string.  Size and membership are answered per orbit; the
     epsilon-basis members are generated only on request (`member_coords`,
-    iteration), and held only by `members`."""
+    iteration) and held nowhere."""
 
     rank: int
     reps: tuple[Weight, ...]
@@ -126,11 +126,6 @@ class WeightSet:
         as they are consumed and kept nowhere."""
         for w in self.reps:
             yield from _arrangements(to_eps(w).coords)
-
-    @cached_property
-    def members(self) -> frozenset[EpsWeight]:
-        """Every weight, in epsilon coordinates (built once, on first use)."""
-        return frozenset(self)
 
 
 def _same_rank(a, b) -> None:

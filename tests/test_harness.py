@@ -166,6 +166,7 @@ def test_element_oracle_caches_no_members():
     harness.check_element_vs_direct(5)
     for n in range(1, 6):
         for w in harness._restricted_top(n):
-            # cache hits: the very sets the oracle used, its a_n = 0 parts included
+            # cache hits: the very sets the oracle used, its a_n = 0 parts
+            # included, still hold their fields and nothing else
             for ws in (reps.weight_set(w), reps.weight_set(w - fundamental(n, n))):
-                assert "members" not in ws.__dict__, w
+                assert set(ws.__dict__) == {"rank", "reps"}, w
