@@ -11,7 +11,16 @@ FACTOR_BOUND = 10**6  # largest trial divisor
 
 
 class WorkLimitError(RuntimeError):
-    """Raised before an enumeration that would take more than WORK_LIMIT steps."""
+    """Raised by `charge` when an enumeration would take, or has so far taken,
+    more than WORK_LIMIT steps."""
+
+
+def charge(count: int, what: str) -> None:
+    """The one work check: raises WorkLimitError when count, the steps an
+    enumeration will take or the running tally of those it has taken, is
+    more than WORK_LIMIT."""
+    if count > WORK_LIMIT:
+        raise WorkLimitError(f"{count} {what} exceed the work limit {WORK_LIMIT}")
 
 
 def mult_order(a: int, m: int) -> int:
@@ -57,9 +66,7 @@ def partitions_under(bounds: Sequence[int]) -> Iterator[tuple[int, ...]]:
     WorkLimitError first when the partitions into len(bounds) parts with sum at
     most bounds[-1], a superset of the output, exceed WORK_LIMIT."""
     n = len(bounds)
-    count = sum(partition_counts(n, bounds[-1]))
-    if count > WORK_LIMIT:
-        raise WorkLimitError(f"{count} partitions of sum <= {bounds[-1]} exceed the work limit {WORK_LIMIT}")
+    charge(sum(partition_counts(n, bounds[-1])), f"partitions of sum <= {bounds[-1]}")
     caps = list(accumulate(reversed(bounds), min))[::-1]  # prefix sums never decrease
     parts = [0] * n
 

@@ -2,13 +2,14 @@
 
 Exit codes: 0 success or suite pass, 1 verdict mismatch under --expect,
 2 usage error (also an order that trial division up to arith.FACTOR_BOUND
-cannot factor), 3 suite failure, 4 work limit exceeded: an enumeration
-sized by the input would take more than arith.WORK_LIMIT = 10^6 steps
-(torus classes, partitions under the dominant-weight bounds, pairs of a
-Minkowski sum, the height of a dominance search, mask words and codes of
-the residue engine, generator tuples times residue rows of a direct
+cannot factor), 3 suite failure, 4 work limit exceeded: a count passed
+to arith.charge is more than arith.WORK_LIMIT = 10^6, either the steps an
+enumeration sized by the input would take (torus classes, partitions
+under the dominant-weight bounds, pairs of a Minkowski sum, the height
+of a dominance search, generator tuples times residue rows of a direct
 evaluation, or the weight coefficients `branch --N` would print: n for
-each exterior power's factor, about N^3/16 in all).
+each exterior power's factor, about N^3/16 in all) or the running tally
+of the mask words held and codes inserted by the residue engine.
 """
 
 import argparse
@@ -16,7 +17,7 @@ import json
 import sys
 from functools import cache
 
-from .arith import WORK_LIMIT, WorkLimitError
+from .arith import WorkLimitError, charge
 from .branching import (
     GUARANTEED_ONE,
     LinearWeight,
@@ -159,9 +160,8 @@ def _cmd_branch(args) -> int:
     n = args.N // 2
     if args.N % 2 == 0:
         # exterior power k has (min(k, N - k) + 1) // 2 factors of n coefficients each
-        count = n * sum((min(k, args.N - k) + 1) // 2 for k in range(1, args.N))
-        if count > WORK_LIMIT:
-            raise WorkLimitError(f"{count} exterior-factor coefficients for N = {args.N} exceed the work limit {WORK_LIMIT}")
+        charge(n * sum((min(k, args.N - k) + 1) // 2 for k in range(1, args.N)),
+               f"exterior-factor coefficients for N = {args.N}")
     verdict = real_element_verdict(lam)
     restricted = restrict_to_c(lam) if args.N % 2 == 0 else None
     payload = {

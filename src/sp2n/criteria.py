@@ -10,7 +10,7 @@ forms, quantified over every generator choice.
 from dataclasses import dataclass
 from math import prod
 
-from .arith import WORK_LIMIT, WorkLimitError, totient
+from .arith import charge, totient
 from .elements import (
     SemisimpleElement,
     generator_tuples,
@@ -137,8 +137,7 @@ def element_has_one(w: Weight, g: SemisimpleElement) -> Verdict:
     # odd fundamental weight: evaluate directly, over every generator choice
     rows = residues(weight_set(w, ModuleKind.IRREDUCIBLE_2), to_torus_element(g).shape)
     tuples = prod(totient(o) for _, o, _ in g.blocks)
-    if tuples * len(rows) > WORK_LIMIT:
-        raise WorkLimitError(f"{tuples} generator tuples times {len(rows)} residue rows exceed the work limit {WORK_LIMIT}")
+    charge(tuples * len(rows), f"evaluations ({tuples} generator tuples times {len(rows)} residue rows)")
     results = {0 in _eval_residues(rows, to_torus_element(g, us)) for us in generator_tuples(g)}
     if results == {True}:
         return Verdict(YES, ("direct",), fallback_used=True)

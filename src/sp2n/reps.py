@@ -18,7 +18,7 @@ Algebras and Representation Theory, 13.4), held by its dominant weights.
 from enum import Enum
 from functools import lru_cache
 
-from .arith import WORK_LIMIT, WorkLimitError
+from .arith import charge
 from .weights import (
     EpsWeight,
     Weight,
@@ -76,9 +76,7 @@ def minkowski_sum(a: WeightSet, b: WeightSet) -> WeightSet:
         raise ValueError(f"rank mismatch: {a.rank} vs {b.rank}")
     if len(a.reps) * len(b) > len(b.reps) * len(a):
         a, b = b, a
-    pairs = len(a.reps) * len(b)
-    if pairs > WORK_LIMIT:
-        raise WorkLimitError(f"{pairs} pairs of a Minkowski sum exceed the work limit {WORK_LIMIT}")
+    charge(len(a.reps) * len(b), "pairs of a Minkowski sum")
     members = list(b.member_coords())  # read once, not once per representative
     sums = {tuple(sorted((abs(x + y) for x, y in zip(rc, m)), reverse=True))
             for rc in [to_eps(r).coords for r in a.reps] for m in members}

@@ -14,15 +14,15 @@ in canonical form; `eval_coefficients` turns it into a dot product with
 the epsilon coordinates.
 """
 
-from collections import Counter
 from collections.abc import Iterable, Iterator
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import comb, gcd, lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 
-from .arith import WORK_LIMIT, WorkLimitError, partition_counts, partitions_under
+from .arith import charge, partition_counts, partitions_under
 from .weights import EpsWeight, WeightSet, to_eps
 
 
@@ -101,9 +101,7 @@ def enumerate_shapes(n: int) -> list[TorusShape]:
     if n < 1:
         raise ValueError(f"rank must be at least 1, got {n}")
     p = partition_counts(n, n)  # a signed partition is a pair (minus parts, plus parts)
-    count = sum(p[j] * p[n - j] for j in range(n + 1))
-    if count > WORK_LIMIT:
-        raise WorkLimitError(f"{count} torus classes at rank {n} exceed the work limit {WORK_LIMIT}")
+    charge(sum(p[j] * p[n - j] for j in range(n + 1)), f"torus classes at rank {n}")
     shapes: list[TorusShape] = []
     for parts in filter(lambda p: sum(p) == n, partitions_under((n,) * n)):
         # distinct part sizes, largest first; each size gets 0..count minus signs
@@ -138,20 +136,34 @@ def restricts_trivially(mu: EpsWeight, shape: TorusShape) -> bool:
     return not any(block_sums(mu, shape))
 
 
+_spent: ContextVar[int] = ContextVar("residue work spent")
+
+
 def residues(ws: WeightSet, shape: TorusShape) -> frozenset[tuple[int, ...]]:
     """The distinct tuples `block_sums(mu, shape)` over the weights mu of ws.
 
-    Raises WorkLimitError before any pass runs when `_residue_work` is more
-    than WORK_LIMIT."""
+    The engine charges the work it does as it runs, against one tally per
+    call: the mask words its passes hold and the codes its joins insert
+    (sub-results already cached cost nothing).  Raises WorkLimitError as
+    soon as the tally is more than WORK_LIMIT."""
     if ws.rank != shape.rank:
         raise ValueError(f"rank mismatch: {ws.rank} vs {shape.rank}")
     orbits = tuple(to_eps(w).coords for w in ws.reps)
-    work = _residue_work(shape, orbits, WORK_LIMIT)
-    if work > WORK_LIMIT:
-        raise WorkLimitError(f"{work} residue mask words and codes on torus {shape} exceed the work limit {WORK_LIMIT}")
+    token = _spent.set(0)
+    try:
+        codes = _residue_codes(shape.blocks, orbits)
+    finally:
+        _spent.reset(token)
     orders = factor_orders(shape)
     strides = [prod(orders[i + 1:]) for i in range(len(orders))]
-    return frozenset(tuple(c // st % o for st, o in zip(strides, orders)) for c in _residue_codes(shape.blocks, orbits))
+    return frozenset(tuple(c // st % o for st, o in zip(strides, orders)) for c in codes)
+
+
+def _spend(count: int) -> None:
+    """Add count to the tally of the running `residues` call and charge it."""
+    spent = _spent.get() + count
+    _spent.set(spent)
+    charge(spent, "residue mask words and code insertions")
 
 
 @lru_cache(maxsize=1 << 14)
@@ -161,17 +173,25 @@ def _residue_codes(blocks: tuple[tuple[int, int], ...], orbits: tuple[tuple[int,
     orders), one code per distinct tuple: the first block, of order o, is
     filled position by position, keeping for each unplaced rest (a key) one
     o-bit mask of the residues reached; then each key is joined, at the set
-    bits of its mask only, with the codes of its rest on the later blocks."""
+    bits of its mask only, with the codes of its rest on the later blocks.
+
+    Charged as it runs: ceil(o / 64) words before the first pass (so a mask
+    too wide to allocate is refused before any shift), the words of the
+    masks each pass returns (one per started 64 bits), and before each join
+    its popcount(mask) * len(tail) set insertions."""
     if not blocks:
         return (0,)
     (k, s), later = blocks[0], blocks[1:]
     o, stride = 2**k - s, prod(2**b - t for b, t in later)
+    _spend(-(-o // 64))
     states = dict.fromkeys(orbits, 1)
     for j in range(k):
         states = _place(states, j, o)
+        _spend(sum(-(-mask.bit_length() // 64) for mask in states.values()))
     codes = set()
     for rest, mask in states.items():
         tail, bits = _residue_codes(later, (rest,)), bin(mask)[:1:-1]  # bit r at index r
+        _spend(mask.bit_count() * len(tail))
         r = bits.find("1")
         while r >= 0:
             codes.update(r * stride + c for c in tail)
@@ -192,44 +212,6 @@ def _place(states: dict, j: int, o: int) -> dict:
             a, rest = (v << j) % o, left[:i] + left[i + 1:]
             out[rest] = out.get(rest, 0) | ((both >> a | both >> (o - a)) & full)
     return out
-
-
-@lru_cache(maxsize=1 << 14)
-def _residue_work(shape: TorusShape, orbits: tuple[tuple[int, ...], ...], limit: int) -> int:
-    """An upper bound on the mask words and codes `_residue_codes(shape.blocks,
-    orbits)` creates from a cold cache: the first call's keys and codes are at
-    most its orbits' taken one at a time, its codes also at most the torus
-    order; each distinct call on a later block, on one rest, counts once as
-    its cache does.  Counting stops at the first block past `limit`."""
-    first = [_call_work(shape.blocks, m) for m in orbits]
-    work, calls = sum(w for w, _ in first) + min(sum(c for _, c in first), torus_order(shape)), set(orbits)
-    for b, (k, _) in enumerate(shape.blocks[:-1]):
-        if work > limit:
-            break
-        for _ in range(k):
-            calls = {left[:i] + left[i + 1:] for left in calls for i in range(len(left))}
-        work += sum(sum(_call_work(shape.blocks[b + 1:], m)) for m in calls)
-    return work
-
-
-@lru_cache(maxsize=1 << 14)
-def _call_work(blocks: tuple[tuple[int, int], ...], mags: tuple[int, ...]) -> tuple[int, int]:
-    """Bounds on the mask words of the keys `_residue_codes(blocks, (mags,))`
-    creates and on the codes it returns.  With N_j the sub-multisets of mags
-    of size j and A_j the signed sequences of length j drawn from mags: step
-    j on a block of order o has at most N_j keys of ceil(o / 64) words, but
-    the key with only zeros placed holds residue 0 alone, in one word; the
-    codes are at most the product of min(o_b, A_{k_b}) over the blocks."""
-    n, zeros, (k, s) = len(mags), mags.count(0), blocks[0]
-    subsets, seqs, seen, words = [1] + [0] * n, [1] + [0] * n, 0, (2**k - s + 63) // 64
-    for v, m in Counter(mags).items():  # take t copies of v, each with 2 signs unless v = 0
-        seen += m
-        for j in range(seen, 0, -1):
-            for t in range(1, min(j, m) + 1):
-                subsets[j] += subsets[j - t]
-                seqs[j] += seqs[j - t] * comb(j, t) * (2 if v else 1) ** t
-    keys = sum(subsets[j] * words - (j <= zeros) * (words - 1) for j in range(1, k + 1))
-    return keys, prod(min(2**b - t, seqs[b]) for b, t in blocks)
 
 
 def trivial_constituent(ws: WeightSet, shape: TorusShape) -> bool:
@@ -290,8 +272,7 @@ def unisingular_on_torus(ws: WeightSet, shape: TorusShape) -> bool:
     """
     if ws.rank != shape.rank:
         raise ValueError(f"rank mismatch: {ws.rank} vs {shape.rank}")
-    if torus_order(shape) > WORK_LIMIT:
-        raise WorkLimitError(f"torus order {torus_order(shape)} exceeds the work limit {WORK_LIMIT}")
+    charge(torus_order(shape), f"elements of torus {shape}")
     orders = factor_orders(shape)
     L = lcm(*orders)
     coefs = [L // o for o in orders]

@@ -24,7 +24,7 @@ from itertools import accumulate
 from math import factorial
 from operator import sub
 
-from .arith import WORK_LIMIT, WorkLimitError, partitions_under
+from .arith import charge, partitions_under
 
 
 @dataclass(frozen=True, slots=True)
@@ -263,9 +263,7 @@ def dominates_oracle(hi: Weight, lo: Weight) -> bool:
     if not _oracle_viable(start):
         return False
     *short, total = accumulate(start)
-    height = sum(short) + total // 2
-    if height > WORK_LIMIT:
-        raise WorkLimitError(f"a search of height {height} exceeds the work limit {WORK_LIMIT}")
+    charge(sum(short) + total // 2, "simple-root steps of a dominance search")
     known = _ORACLE_TABLE.get(start)
     if known is not None:
         return known

@@ -1,10 +1,11 @@
 from itertools import accumulate, product
 from math import gcd
+from pathlib import Path
 
 import pytest
 
 import sp2n.arith
-from sp2n.arith import WorkLimitError, has_order, mult_order, partition_counts, partitions_under, totient
+from sp2n.arith import WORK_LIMIT, WorkLimitError, charge, has_order, mult_order, partition_counts, partitions_under, totient
 
 
 def _mult_order_scan(a, m):
@@ -78,3 +79,16 @@ def test_partitions_under_work_is_counted_before_it_starts(monkeypatch):
         partitions_under(bounds)  # raised at the call, before any tuple is made
     monkeypatch.setattr(sp2n.arith, "WORK_LIMIT", size)
     assert len(list(partitions_under(bounds))) == size
+
+
+def test_charge_refuses_only_above_the_limit():
+    charge(WORK_LIMIT, "steps")
+    with pytest.raises(WorkLimitError, match=f"^{WORK_LIMIT + 1} steps exceed the work limit {WORK_LIMIT}$"):
+        charge(WORK_LIMIT + 1, "steps")
+
+
+def test_charge_is_the_only_raise_of_the_work_limit():
+    # every work bound goes through arith.charge
+    package = Path(sp2n.arith.__file__).parent
+    raising = [p.name for p in sorted(package.glob("*.py")) if "raise WorkLimitError" in p.read_text()]
+    assert raising == ["arith.py"]

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+import sp2n.arith
 import sp2n.cli
 from sp2n.cli import cli_main
 
@@ -108,9 +109,11 @@ _OMEGA_1_RANK_20 = ",".join(["1"] + ["0"] * 19)
     # 2,771,968 and 20,401,152 pairs of the Minkowski sum with the orbit of w_n
     ["weights", "9", "1,1,1,1,1,1,1,1,1"],
     ["weights", "10", "1,1,1,1,1,1,1,1,1,1"],
-    # residue mask words and codes of the orbits below w_39 on a torus of order 1048575^2
+    # residue mask words of the orbits below w_39 on a torus of order 1048575^2
     ["torus-trivial", "40", ",".join(["0"] * 38 + ["1", "0"]), "--torus", "20,20"],
-], ids=["element", "tori", "weights", "minkowski-9", "minkowski-10", "residues"])
+    # one mask of 2^40 - 1 bits, refused before it is allocated
+    ["torus-trivial", "40", ",".join(["0"] * 38 + ["1", "0"]), "--torus", "40"],
+], ids=["element", "tori", "weights", "minkowski-9", "minkowski-10", "residues", "residues-wide"])
 def test_work_limit_exceeded_exits_4(capsys, argv):
     started = time.perf_counter()
     assert cli_main(argv) == 4
@@ -131,10 +134,10 @@ def test_branch_output_bounded(capsys, monkeypatch):
     assert "Traceback" not in captured.err and not captured.out
     # the bound counts exactly the coefficients printed: 550 at N = 20
     argv = ["branch", "--N=20", "--lambda=" + ",".join(["1"] + ["0"] * 18), "--json"]
-    monkeypatch.setattr(sp2n.cli, "WORK_LIMIT", 549)
+    monkeypatch.setattr(sp2n.arith, "WORK_LIMIT", 549)
     assert cli_main(argv) == 4
     capsys.readouterr()
-    monkeypatch.setattr(sp2n.cli, "WORK_LIMIT", 550)
+    monkeypatch.setattr(sp2n.arith, "WORK_LIMIT", 550)
     assert cli_main(argv) == 0
     factors = json.loads(capsys.readouterr().out)["exterior_factors"]
     assert sum(len(w.split(",")) for ws in factors.values() for w in ws) == 550

@@ -3,7 +3,7 @@ from math import prod
 
 import pytest
 
-import sp2n.criteria
+import sp2n.arith
 from sp2n.arith import WorkLimitError, totient
 from sp2n.criteria import (
     NO,
@@ -164,10 +164,10 @@ def test_element_fallback_work_is_counted_before_it_starts(monkeypatch):
     rows = residues(weight_set(w), to_torus_element(g).shape)
     size = prod(totient(o) for _, o, _ in g.blocks) * len(rows)
     assert size == 16 * 8
-    monkeypatch.setattr(sp2n.criteria, "WORK_LIMIT", size - 1)
+    monkeypatch.setattr(sp2n.arith, "WORK_LIMIT", size - 1)
     with pytest.raises(WorkLimitError):
         element_has_one(w, g)
-    monkeypatch.setattr(sp2n.criteria, "WORK_LIMIT", size)
+    monkeypatch.setattr(sp2n.arith, "WORK_LIMIT", size)
     assert element_has_one(w, g).fallback_used
 
 

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sp2n import tori
-from sp2n.arith import WORK_LIMIT, WorkLimitError
+from sp2n import arith, tori
+from sp2n.arith import WorkLimitError
 from sp2n.criteria import singer_cycle_has_one, th7_blocks
 from sp2n.reps import ModuleKind, weight_set
 from sp2n.tori import TorusShape, enumerate_shapes, residues, singer_shape
@@ -208,39 +208,50 @@ def test_bitset_engine_matches_set_engine(inputs):
 
 
 def test_multi_block_torus_rank7_answers():
-    # the distinct calls on the later blocks are bounded by their own rests,
-    # and the first call by the torus order, so this answers below the limit
     ws, shape = weight_set(Weight((1,) * 7)), tori.parse_torus_label("-2,-1,-1,-1,-1,-1")
-    assert _residue_work(ws, shape) <= WORK_LIMIT
     assert residues(ws, shape) == _ref_residues(ws, shape)
 
 
 def test_singer_torus_rank7_answers():
     # one of the rank-7 sets the th2 suite evaluates one cap above its default
     w, shape = Weight((1, 1, 1, 1, 1, 0, 1)), singer_shape(7)
+    assert ((0,) in residues(weight_set(w), shape)) == singer_cycle_has_one(w)
+
+
+def test_singer_torus_rank8_answers(monkeypatch):
+    # th2 at cap 8 evaluates this set; a closed-form bound of 1,485,846
+    # refused it, while the engine does 38,864 units of work
+    w, shape = Weight((1,) * 8), singer_shape(8)
     ws = weight_set(w)
-    assert _residue_work(ws, shape) <= WORK_LIMIT
     assert ((0,) in residues(ws, shape)) == singer_cycle_has_one(w)
+    assert _charged(ws, shape, monkeypatch) == 38_864
 
 
 def _created(ws, shape, mp):
-    """The mask words and codes the engine makes for ws on shape from a
-    cold cache: each key a pass returns, at one word per 64 bits of its
-    mask, and every code each distinct call returns."""
-    created = 0
+    """The work the engine does for ws on shape from a cold cache, counted
+    from outside: for each distinct call, ceil(o / 64) words for its first
+    block (of order o), the words of every key its passes return (one per
+    started 64 bits of the mask), and the set insertions of its join, each
+    key's popcount times the codes of its rest on the later blocks."""
+    created, frames = 0, []
     place, body = tori._place, tori._residue_codes.__wrapped__
 
     def counting_place(*args):
         nonlocal created
-        out = place(*args)
-        created += sum(max(1, -(-mask.bit_length() // 64)) for mask in out.values())
+        frames[-1] = out = place(*args)  # the latest states of the calling call
+        created += sum(-(-mask.bit_length() // 64) for mask in out.values())
         return out
 
     @cache
     def counting_codes(blocks, orbits):
         nonlocal created
+        frames.append(None)
         out = body(blocks, orbits)  # its calls on the later blocks come back here
-        created += len(out) if blocks else 0
+        states = frames.pop()
+        if blocks:
+            (k, s), later = blocks[0], blocks[1:]
+            created += -(-(2**k - s) // 64)
+            created += sum(mask.bit_count() * len(counting_codes(later, (rest,))) for rest, mask in states.items())
         return out
 
     mp.setattr(tori, "_place", counting_place)
@@ -249,39 +260,47 @@ def _created(ws, shape, mp):
     return created
 
 
-def _residue_work(ws, shape):
-    return tori._residue_work(shape, tuple(to_eps(w).coords for w in ws.reps), WORK_LIMIT)
+def _charged(ws, shape, monkeypatch):
+    """`_created(ws, shape)`, checked to be exactly what `residues` charges
+    from a cold cache: a work limit one below it refuses, one at it answers."""
+    with monkeypatch.context() as mp:
+        created = _created(ws, shape, mp)
+    for limit in (created - 1, created):
+        tori._residue_codes.cache_clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(arith, "WORK_LIMIT", limit)
+            if limit < created:
+                with pytest.raises(WorkLimitError):
+                    residues(ws, shape)
+            else:
+                residues(ws, shape)
+    return created
 
 
-@pytest.mark.parametrize("n", range(1, 5))
-def test_residue_work_bounds_states_created(n, monkeypatch):
-    for w, kind in _modules(n):
-        ws = weight_set(w, kind)
-        for shape in enumerate_shapes(n):
-            with monkeypatch.context() as mp:
-                created = _created(ws, shape, mp)
-            assert created <= _residue_work(ws, shape), (w, kind, shape)
+@pytest.mark.parametrize("inputs", [
+    *([(w, kind, shape) for w, kind in _modules(n) for shape in enumerate_shapes(n)] for n in range(1, 5)),
+    # the join makes 169,049 set insertions here, 6.3 times an earlier
+    # closed-form bound that counted distinct codes only
+    [(Weight((0, 1, 0, 1, 0, 0, 1, 1)), IRR2, tori.parse_torus_label("-2,-2,-2,-2"))],
+], ids=["n1", "n2", "n3", "n4", "join-heavy"])
+def test_residue_charge_is_the_work_done(inputs, monkeypatch):
+    for w, kind, shape in inputs:
+        _charged(weight_set(w, kind), shape, monkeypatch)
 
 
-def test_residue_work_bounds_large_masks(monkeypatch):
+def test_residue_charge_counts_large_masks(monkeypatch):
     # blocks of order 65,535: the 32 keys that have placed the 1 hold masks
     # of 1,024 words, the keys holding residue 0 alone one word each
     ws, shape = weight_set(fundamental(32, 1)), TorusShape(((16, 1), (16, 1)))
-    created = _created(ws, shape, monkeypatch)
-    assert 32 * 1024 <= created <= _residue_work(ws, shape)
+    assert 32 * 1024 <= _charged(ws, shape, monkeypatch)
 
 
-def test_residue_work_is_counted_before_any_pass(monkeypatch):
-    ws, shape = weight_set(Weight((1, 1, 0, 1))), TorusShape(((2, -1), (2, 1)))
-    bound = _residue_work(ws, shape)
+def test_wide_block_is_refused_before_any_pass(monkeypatch):
+    # a block of order 2^40 - 1 would need masks of 2^34 words
+    ws, shape = weight_set(fundamental(40, 1)), TorusShape(((40, 1),))
     passes = []
     place = tori._place
     monkeypatch.setattr(tori, "_place", lambda *args: passes.append(args) or place(*args))
-    monkeypatch.setattr(tori, "WORK_LIMIT", bound - 1)
-    tori._residue_codes.cache_clear()
     with pytest.raises(WorkLimitError):
         residues(ws, shape)
     assert not passes
-    monkeypatch.setattr(tori, "WORK_LIMIT", bound)
-    assert residues(ws, shape) == _listed_residues(_listed(Weight((1, 1, 0, 1)), IRR2), 4)[shape]
-    assert passes

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import sp2n.tori
+import sp2n.arith
 from sp2n.arith import WorkLimitError, partition_counts
 from sp2n.reps import ModuleKind, weight_set
 from sp2n.tori import (
@@ -81,10 +81,10 @@ def test_enumerate_shapes_count_matches_generating_function(monkeypatch):
         assert size == sum(p[j] * p[n - j] for j in range(n + 1)), n
         # the work check counts exactly the shapes it then lists
         with monkeypatch.context() as mp:
-            mp.setattr(sp2n.tori, "WORK_LIMIT", size - 1)
+            mp.setattr(sp2n.arith, "WORK_LIMIT", size - 1)
             with pytest.raises(WorkLimitError):
                 enumerate_shapes(n)
-            mp.setattr(sp2n.tori, "WORK_LIMIT", size)
+            mp.setattr(sp2n.arith, "WORK_LIMIT", size)
             assert len(enumerate_shapes(n)) == size
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sp2n import weights
+from sp2n import arith, weights
 from sp2n.arith import WorkLimitError, partition_counts
 from sp2n.weights import (
     EpsWeight,
@@ -119,16 +119,16 @@ def test_dominates_oracle_long_chain():
 def test_dominates_oracle_work_is_counted_before_it_starts(monkeypatch):
     # eps(1,0,1) = (2,1,1) = 2(e1-e2) + 3(e2-e3) + 2(2e3): height 7
     hi, lo = Weight((1, 0, 1)), zero_weight(3)
-    monkeypatch.setattr(weights, "WORK_LIMIT", 6)
+    monkeypatch.setattr(arith, "WORK_LIMIT", 6)
     weights._ORACLE_TABLE.clear()
     with pytest.raises(WorkLimitError):
         dominates_oracle(hi, lo)
     assert not weights._ORACLE_TABLE
     assert not dominates_oracle(lo, hi)  # pruned at the start: nothing to count
-    monkeypatch.setattr(weights, "WORK_LIMIT", 7)
+    monkeypatch.setattr(arith, "WORK_LIMIT", 7)
     assert dominates_oracle(hi, lo)
     assert weights._ORACLE_TABLE[(2, 1, 1)]
-    monkeypatch.setattr(weights, "WORK_LIMIT", 6)
+    monkeypatch.setattr(arith, "WORK_LIMIT", 6)
     with pytest.raises(WorkLimitError):  # counted before the table is read
         dominates_oracle(hi, lo)
 
