@@ -277,22 +277,44 @@ def _charged(ws, shape, monkeypatch):
     return created
 
 
-@pytest.mark.parametrize("inputs", [
-    *([(w, kind, shape) for w, kind in _modules(n) for shape in enumerate_shapes(n)] for n in range(1, 5)),
+@pytest.mark.parametrize("n", range(1, 5))
+def test_residue_work_bounds_states_created(n, monkeypatch):
+    # the charge is exactly the work done, so it bounds the states created
+    for w, kind in _modules(n):
+        ws = weight_set(w, kind)
+        for shape in enumerate_shapes(n):
+            _charged(ws, shape, monkeypatch)
+
+
+def test_residue_charge_counts_join_insertions(monkeypatch):
     # the join makes 169,049 set insertions here, 6.3 times an earlier
     # closed-form bound that counted distinct codes only
-    [(Weight((0, 1, 0, 1, 0, 0, 1, 1)), IRR2, tori.parse_torus_label("-2,-2,-2,-2"))],
-], ids=["n1", "n2", "n3", "n4", "join-heavy"])
-def test_residue_charge_is_the_work_done(inputs, monkeypatch):
-    for w, kind, shape in inputs:
-        _charged(weight_set(w, kind), shape, monkeypatch)
+    ws, shape = weight_set(Weight((0, 1, 0, 1, 0, 0, 1, 1)), IRR2), tori.parse_torus_label("-2,-2,-2,-2")
+    assert _charged(ws, shape, monkeypatch) >= 169_049
 
 
-def test_residue_charge_counts_large_masks(monkeypatch):
+def test_residue_work_bounds_large_masks(monkeypatch):
     # blocks of order 65,535: the 32 keys that have placed the 1 hold masks
     # of 1,024 words, the keys holding residue 0 alone one word each
     ws, shape = weight_set(fundamental(32, 1)), TorusShape(((16, 1), (16, 1)))
     assert 32 * 1024 <= _charged(ws, shape, monkeypatch)
+
+
+def test_residue_work_is_counted_before_any_pass(monkeypatch):
+    # the first block's ceil(o / 64) words are charged before its first pass
+    ws, shape = weight_set(Weight((1, 1, 0, 1))), TorusShape(((2, -1), (2, 1)))
+    charged = _charged(ws, shape, monkeypatch)
+    passes = []
+    place = tori._place
+    monkeypatch.setattr(tori, "_place", lambda *args: passes.append(args) or place(*args))
+    monkeypatch.setattr(arith, "WORK_LIMIT", 0)
+    tori._residue_codes.cache_clear()
+    with pytest.raises(WorkLimitError):
+        residues(ws, shape)
+    assert not passes
+    monkeypatch.setattr(arith, "WORK_LIMIT", charged)
+    assert residues(ws, shape) == _listed_residues(_listed(Weight((1, 1, 0, 1)), IRR2), 4)[shape]
+    assert passes
 
 
 def test_wide_block_is_refused_before_any_pass(monkeypatch):
