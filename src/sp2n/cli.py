@@ -5,11 +5,11 @@ Exit codes: 0 success or suite pass, 1 verdict mismatch under --expect,
 cannot factor), 3 suite failure, 4 work limit exceeded: a count passed
 to arith.charge is more than arith.WORK_LIMIT = 10^6, either the steps an
 enumeration sized by the input would take (torus classes, partitions
-under the dominant-weight bounds, pairs of a Minkowski sum, the height
-of a dominance search, generator tuples times residue rows of a direct
-evaluation, or the weight coefficients `branch --N` would print: n for
-each exterior power's factor, about N^3/16 in all) or the running tally
-of the mask words held and codes inserted by the residue engine.
+under the dominant-weight bounds, which bound every weight set, the
+height of a dominance search, generator tuples times residue rows of a
+direct evaluation, or the weight coefficients `branch --N` would print:
+n for each exterior power's factor, about N^3/16 in all) or the running
+tally of the mask words held and codes inserted by the residue engine.
 """
 
 import argparse
@@ -164,23 +164,20 @@ def _cmd_branch(args) -> int:
                f"exterior-factor coefficients for N = {args.N}")
     verdict = real_element_verdict(lam)
     restricted = restrict_to_c(lam) if args.N % 2 == 0 else None
+    factors = {k: [str(w) for w in sorted(exterior_factors(k, n), key=lambda w: w.coeffs)]
+               for k in range(1, args.N)} if args.N % 2 == 0 else {}
     payload = {
         "N": str(args.N),
         "lambda": str(lam),
         "restriction": str(restricted) if restricted is not None else None,
         "real_element_status": verdict.status,
         "citations": list(verdict.citations),
-        "exterior_factors": {
-            str(k): [str(w) for w in sorted(exterior_factors(k, n), key=lambda w: w.coeffs)]
-            for k in range(1, args.N)
-        } if args.N % 2 == 0 else {},
+        "exterior_factors": {str(k): facs for k, facs in factors.items()},
     }
     lines = [f"real-element verdict: {verdict.status}  citations: {', '.join(verdict.citations)}"]
     if restricted is not None:
         lines.insert(0, f"restriction to the symplectic subgroup: {restricted}")
-        for k in range(1, args.N):
-            facs = sorted(exterior_factors(k, n), key=lambda w: w.coeffs)
-            lines.append(f"exterior power {k}: factors " + "; ".join(str(w) for w in facs))
+        lines += [f"exterior power {k}: factors " + "; ".join(facs) for k, facs in factors.items()]
     _emit(args, payload, lines)
     return _verdict_exit(args, verdict.status)
 

@@ -38,7 +38,7 @@ from .elements import (
     singer_height_fast,
     to_torus_element,
 )
-from .reps import ModuleKind, has_zero_weight, twist_decompose, weight_set, zero_in_weight_set
+from .reps import ModuleKind, has_zero_weight, minkowski_sum, twist_decompose, weight_set, zero_in_weight_set
 from .tori import (
     TorusShape,
     block_sums,
@@ -176,11 +176,15 @@ def _suite_m22(max_n: int):
             legs = (zero, closed, ineq, dom)
             if len(set(legs)) != 1:
                 _fail(failures, f"n={n} w={w}", f"closed={closed} ineq={ineq} dom={dom}", f"zero-membership={zero}")
-            if n <= 4:  # couple the membership identity to the listed weights
+            if n <= 4:  # couple the membership identity and the a_n = 1 rule to their oracles
                 sat = frozenset(weight_set(w - wn))
                 direct = any(-y in sat for y in weyl_orbit(to_eps(wn)))
                 if direct != zero:
                     _fail(failures, f"n={n} w={w} materialized", zero, direct)
+                summed = minkowski_sum(weight_set(w - wn), weyl_orbit(to_eps(wn))).reps
+                if summed != weight_set(w).reps:
+                    _fail(failures, f"n={n} w={w} tensor", "; ".join(map(str, weight_set(w).reps)),
+                          "; ".join(map(str, summed)))
     return cases, failures, []
 
 

@@ -6,10 +6,10 @@ of its weights, so eigenvalue-1 questions need sets only.
 
 For a Weyl module, and for a 2-restricted irreducible with a_n = 0, the
 weight set is the saturated set of the highest weight (union of orbits of
-all subdominant weights).  The single exceptional case is a 2-restricted
-irreducible with a_n = 1, where the module is the tensor product of the
-a_n = 0 part with the spin-like module of highest weight w_n, and the
-weight set is the corresponding Minkowski sum.
+all subdominant weights).  With a_n = 1, L(w) = L(w - w_n) (x) L(w_n), and
+a dominant mu with epsilon coordinates c is a weight iff w - w_n dominates
+the orbit of x* (x*_i = c_i - 1 if c_i else 1): over the weights y in
+{+-1}^n of L(w_n), |c_i - y_i| >= x*_i, with equality for some y.
 
 Each weight set is a union of Weyl orbits (Humphreys, Introduction to Lie
 Algebras and Representation Theory, 13.4), held by its dominant weights.
@@ -25,11 +25,12 @@ from .weights import (
     WeightSet,
     delta,
     dominant_below,
+    dominant_representative,
+    dominates,
     from_eps,
     fundamental,
     is_radical,
     to_eps,
-    weyl_orbit,
     zero_weight,
 )
 
@@ -61,17 +62,16 @@ def _weight_set_cached(coeffs: tuple[int, ...], kind: ModuleKind) -> WeightSet:
     w = Weight(coeffs)
     if kind is ModuleKind.WEYL or coeffs[-1] == 0:
         return WeightSet(w.rank, dominant_below(w))
-    # a_n = 1: tensor factorization; w - w_n has a_n = 0, no recursion needed
-    wn = fundamental(w.rank, w.rank)
-    return minkowski_sum(_weight_set_cached((w - wn).coeffs, ModuleKind.IRREDUCIBLE_2),
-                         weyl_orbit(to_eps(wn)))
+    lower = w - fundamental(w.rank, w.rank)  # a_n = 1: the x* rule of the module docstring
+    return WeightSet(w.rank, (mu for mu in dominant_below(w) if dominates(lower, dominant_representative(
+        EpsWeight(tuple(c - 1 if c else 1 for c in to_eps(mu).coords))))))
 
 
 def minkowski_sum(a: WeightSet, b: WeightSet) -> WeightSet:
-    """{x + y : x in a, y in b}: both sets are Weyl-stable, so the sum is the
-    union of the orbits of r + y over the representatives r of one set and
-    the members y of the other, whichever choice gives fewer pairs; raises
-    WorkLimitError before it starts when that is more than WORK_LIMIT."""
+    """{x + y : x in a, y in b}, the oracle of the a_n = 1 rule: both sets are
+    Weyl-stable, so the sum is the union of the orbits of r + y over the
+    representatives r of one set and the members y of the other, whichever
+    gives fewer pairs; raises WorkLimitError first if that is over WORK_LIMIT."""
     if a.rank != b.rank:
         raise ValueError(f"rank mismatch: {a.rank} vs {b.rank}")
     if len(a.reps) * len(b) > len(b.reps) * len(a):

@@ -267,8 +267,9 @@ def _eval_residues(rows: Iterable[tuple[int, ...]], t: TorusElement) -> Iterator
 def unisingular_on_torus(ws: WeightSet, shape: TorusShape) -> bool:
     """Brute-force sweep: does every torus element take value 1 on some weight?
 
-    Enumerates every exponent tuple of the canonical form; errors out if
-    the torus order exceeds the work limit rather than truncating.
+    Tests every exponent tuple against every residue row; errors out, not
+    truncating, when the torus order or the order times the rows is over
+    the work limit.
     """
     if ws.rank != shape.rank:
         raise ValueError(f"rank mismatch: {ws.rank} vs {shape.rank}")
@@ -283,6 +284,7 @@ def unisingular_on_torus(ws: WeightSet, shape: TorusShape) -> bool:
     )
     if rows and not any(rows[0]):
         return True  # a weight trivial on the whole torus covers every element
+    charge(torus_order(shape) * len(rows), f"row tests on torus {shape}")
     for m in product(*(range(o) for o in orders)):
         if not any(sum(x * mi for x, mi in zip(row, m)) % L == 0 for row in rows):
             return False

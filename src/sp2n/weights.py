@@ -129,10 +129,8 @@ class WeightSet:
 
 
 def _same_rank(a, b) -> None:
-    ra = a.rank if hasattr(a, "rank") else len(a)
-    rb = b.rank if hasattr(b, "rank") else len(b)
-    if ra != rb:
-        raise ValueError(f"rank mismatch: {ra} vs {rb}")
+    if a.rank != b.rank:
+        raise ValueError(f"rank mismatch: {a.rank} vs {b.rank}")
 
 
 def zero_weight(rank: int) -> Weight:

@@ -106,14 +106,13 @@ _OMEGA_1_RANK_20 = ",".join(["1"] + ["0"] * 19)
     ["tori", "40"],
     # 5,914,310 dominant weights with delta <= 66
     ["weights", "12", "1,1,1,1,1,1,1,1,1,1,1,0"],
-    # 2,771,968 and 20,401,152 pairs of the Minkowski sum with the orbit of w_n
-    ["weights", "9", "1,1,1,1,1,1,1,1,1"],
-    ["weights", "10", "1,1,1,1,1,1,1,1,1,1"],
+    # 4,655,293 dominant weights with delta <= 66, the candidates of the a_n = 1 rule
+    ["weights", "11", "1,1,1,1,1,1,1,1,1,1,1"],
     # residue mask words of the orbits below w_39 on a torus of order 1048575^2
     ["torus-trivial", "40", ",".join(["0"] * 38 + ["1", "0"]), "--torus", "20,20"],
     # one mask of 2^40 - 1 bits, refused before it is allocated
     ["torus-trivial", "40", ",".join(["0"] * 38 + ["1", "0"]), "--torus", "40"],
-], ids=["element", "tori", "weights", "minkowski-9", "minkowski-10", "residues", "residues-wide"])
+], ids=["element", "tori", "weights", "weights-11", "residues", "residues-wide"])
 def test_work_limit_exceeded_exits_4(capsys, argv):
     started = time.perf_counter()
     assert cli_main(argv) == 4
@@ -121,6 +120,15 @@ def test_work_limit_exceeded_exits_4(capsys, argv):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "work limit" in captured.err
     assert "Traceback" not in captured.err and not captured.out
+
+
+def test_top_weights_rank_9_answer(capsys):
+    # the a_n = 1 set once refused for its 2,771,968 Minkowski pairs
+    started = time.perf_counter()
+    assert cli_main(["weights", "9", "1,1,1,1,1,1,1,1,1", "--json"]) == 0
+    assert time.perf_counter() - started < 2
+    out = json.loads(capsys.readouterr().out)
+    assert len(out["dominant_members"]) == 12979
 
 
 def test_branch_output_bounded(capsys, monkeypatch):

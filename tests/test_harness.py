@@ -166,7 +166,8 @@ def test_element_oracle_caches_no_members():
     harness.check_element_vs_direct(5)
     for n in range(1, 6):
         for w in harness._restricted_top(n):
-            # cache hits: the very sets the oracle used, its a_n = 0 parts
-            # included, still hold their fields and nothing else
+            # the sets the oracle used (cache hits) and their a_n = 0 parts
+            # (built here: the a_n = 1 rule never builds them) hold their
+            # fields and nothing else
             for ws in (reps.weight_set(w), reps.weight_set(w - fundamental(n, n))):
                 assert set(ws.__dict__) == {"rank", "reps"}, w

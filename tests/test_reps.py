@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sp2n.reps
 from sp2n.reps import (
     ModuleKind,
     g_effective_weight_set,
@@ -175,6 +176,30 @@ def test_additivity_for_restricted_sums():
             assert frozenset(weight_set(both, IRR2)) == frozenset(minkowski_sum(
                 weight_set(lam, IRR2), weight_set(om, IRR2)
             )), (lam, om)
+
+
+def _top_restricted(max_n):
+    for n in range(1, max_n + 1):
+        for bits in product((0, 1), repeat=n - 1):
+            yield Weight(bits + (1,))
+
+
+def test_top_weight_sets_match_tensor_sums():
+    # the a_n = 1 rule against its oracle, L(w - w_n) (x) L(w_n) as a Minkowski sum
+    for w in _top_restricted(7):
+        wn = fundamental(w.rank, w.rank)
+        assert weight_set(w, IRR2).reps == minkowski_sum(
+            weight_set(w - wn, IRR2), weyl_orbit(to_eps(wn))).reps, w
+
+
+def test_top_weight_sets_build_without_minkowski_sums(monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("minkowski_sum called")
+
+    monkeypatch.setattr(sp2n.reps, "minkowski_sum", refuse)
+    sp2n.reps._weight_set_cached.cache_clear()
+    for w in _top_restricted(7):
+        assert weight_set(w, IRR2).reps, w
 
 
 def test_zero_weight_three_way_equivalence():

@@ -1,3 +1,4 @@
+import time
 from itertools import product
 from math import lcm
 
@@ -231,6 +232,16 @@ def test_sweep_limit_enforced():
     ws = weight_set(fundamental(20, 1), IRR2)
     with pytest.raises(WorkLimitError):
         unisingular_on_torus(ws, TorusShape(((20, 1),)))
+
+
+def test_sweep_limit_counts_rows():
+    # order 6,147 is under the limit, but 6,147 elements times 6,146 residue
+    # rows of w_1 + w_12 is not: the sweep is refused before it starts
+    ws = weight_set(Weight((1,) + (0,) * 10 + (1,)), IRR2)
+    started = time.perf_counter()
+    with pytest.raises(WorkLimitError, match="37779462 row tests"):
+        unisingular_on_torus(ws, parse_torus_label("-11,-1"))
+    assert time.perf_counter() - started < 2
 
 
 def test_singer_torus_misses_odd_fundamentals():
