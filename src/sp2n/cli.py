@@ -33,7 +33,6 @@ from .elements import (
     omega_n_eigenvalue_orders,
     parse_element,
     singer_height_fast,
-    singer_index_element,
 )
 from .harness import SUITE_NAMES, run_suite
 from .reps import ModuleKind, has_zero_weight, weight_set
@@ -131,21 +130,22 @@ def _cmd_element(args) -> int:
     graph = gamma_graph(g)
     w = _weight_arg(args.omega, g.rank)
     v = element_has_one(w, g)
+    si, orders = len(graph.singular), sorted(omega_n_eigenvalue_orders(g))
     payload = {
         "element": str(g),
         "order": str(g.order),
         "gamma_edges": [[str(i), str(j)] for i, j in sorted(graph.edges)],
         "singular_vertices": [str(i) for i in graph.singular],
-        "singer_index": str(singer_index_element(g)),
-        "omega_n_eigenvalue_orders": [str(e) for e in sorted(omega_n_eigenvalue_orders(g))],
+        "singer_index": str(si),
+        "omega_n_eigenvalue_orders": [str(e) for e in orders],
         "p88_guarantee": p88_guarantee(g),
         "omega": str(w),
         "verdict": v.to_dict(),
     }
     lines = [
         f"element {g}  order {g.order}",
-        f"graph edges: {sorted(graph.edges)}  singular vertices: {list(graph.singular)}  Si(g)={singer_index_element(g)}",
-        f"top-fundamental eigenvalue orders: {sorted(omega_n_eigenvalue_orders(g))}",
+        f"graph edges: {sorted(graph.edges)}  singular vertices: {list(graph.singular)}  Si(g)={si}",
+        f"top-fundamental eigenvalue orders: {orders}",
         f"prime-power guarantee via first+last fundamentals: {'yes' if payload['p88_guarantee'] else 'no'}",
         f"eigenvalue 1 on weight {w}: {v.decision}  citations: {', '.join(v.citations)}  fallback: {v.fallback_used}",
     ]

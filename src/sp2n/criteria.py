@@ -3,12 +3,13 @@
 Every verdict cites the rule tags that produced it (the same tags name
 the verification suites), and records whether a brute-force fallback ran.
 Closed forms are used only where a rule covers the input; the remaining
-cases fall back to direct evaluation of weight sets on canonical torus
-forms, quantified over every generator choice.
+cases fall back to direct evaluation: the weight set's residue rows on a
+torus, tested by `tori.vanishing` at every element or generator choice.
 """
 
 from dataclasses import dataclass
 from math import prod
+from operator import mod
 
 from .arith import charge, totient
 from .elements import (
@@ -17,10 +18,9 @@ from .elements import (
     has_eigenvalue_one_omega_n,
     singer_height_fast,
     singer_index_element,
-    to_torus_element,
 )
 from .reps import ModuleKind, twist_decompose, weight_set
-from .tori import TorusShape, _eval_residues, residues, singer_index, t_sharp, trivial_constituent
+from .tori import TorusShape, block_key, residues, singer_index, t_sharp, trivial_constituent, vanishing
 from .weights import Weight, delta, fundamental, gamma, is_radical, to_eps
 
 YES = "yes"
@@ -134,11 +134,16 @@ def element_has_one(w: Weight, g: SemisimpleElement) -> Verdict:
         return Verdict(YES, ("Lem-pr4",))
     if gamma(w) != 1:
         return Verdict(YES, ("Lem-cc2",))
-    # odd fundamental weight: evaluate directly, over every generator choice
-    rows = residues(weight_set(w, ModuleKind.IRREDUCIBLE_2), to_torus_element(g).shape)
-    tuples = prod(totient(o) for _, o, _ in g.blocks)
+    # odd fundamental weight: evaluate over every generator choice u, blocks in
+    # the torus's canonical order; block i's torus exponent is (O_i / o_i) * u_i,
+    # so a residue row r takes the value sum(r_i * u_i / o_i) mod 1
+    blocks = tuple(sorted(g.blocks, key=block_key))
+    orders = tuple(o for _, o, _ in blocks)
+    shape = TorusShape(tuple((d, s) for d, _, s in blocks))
+    rows = {tuple(map(mod, rs, orders)) for rs in residues(weight_set(w, ModuleKind.IRREDUCIBLE_2), shape)}
+    tuples = prod(map(totient, orders))
     charge(tuples * len(rows), f"evaluations ({tuples} generator tuples times {len(rows)} residue rows)")
-    results = {0 in _eval_residues(rows, to_torus_element(g, us)) for us in generator_tuples(g)}
+    results = set(vanishing(rows, orders, generator_tuples(SemisimpleElement(blocks))))
     if results == {True}:
         return Verdict(YES, ("direct",), fallback_used=True)
     if results == {False}:

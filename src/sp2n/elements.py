@@ -19,7 +19,7 @@ from itertools import product
 from math import gcd, lcm
 
 from .arith import divisors, has_order
-from .tori import TorusElement, TorusShape
+from .tori import TorusElement, TorusShape, block_key
 
 
 @dataclass(frozen=True)
@@ -179,8 +179,8 @@ def to_torus_element(g: SemisimpleElement, generators: tuple[int, ...] | None = 
     for u, (_, o, _) in zip(us, g.blocks):
         if gcd(u, o) != 1:
             raise ValueError(f"generator {u} is not a unit modulo {o}")
-    # sort pairs with the shape's canonical key so exponents stay aligned
-    pairs = sorted(zip(g.blocks, us), key=lambda p: (-p[0][0], p[0][2]))
+    # sort pairs in the shape's canonical order so exponents stay aligned
+    pairs = sorted(zip(g.blocks, us), key=lambda p: block_key(p[0]))
     shape = TorusShape(tuple((d, s) for (d, _, s), _ in pairs))
     exps = []
     for (d, o, s), u in pairs:

@@ -9,9 +9,9 @@ order.  All wrap-around relations are automatic in the modular
 arithmetic.  `residues` is the one engine evaluating weight sets on tori
 and their elements; it lists no orbit, keeping on each block one o-bit
 mask (o the block's order) of the residues reached per unplaced rest.
-`_block_coefficients` is the one definition of a value at a torus element
-in canonical form; `eval_coefficients` turns it into a dot product with
-the epsilon coordinates.
+`vanishing` is the one runtime evaluation of residue rows at torus elements;
+`eval_coefficients`, the oracles' route, writes a value at a torus element
+in canonical form as a dot product with the epsilon coordinates.
 """
 
 from collections.abc import Iterable, Iterator
@@ -24,6 +24,12 @@ from operator import mul
 
 from .arith import charge, partition_counts, partitions_under
 from .weights import EpsWeight, WeightSet, to_eps
+
+
+def block_key(block: tuple[int, ...]) -> tuple[int, int]:
+    """The canonical block order, larger blocks first and sign -1 before +1,
+    for torus blocks (k, sign) and element blocks (d, o, sign) alike."""
+    return -block[0], block[-1]
 
 
 @dataclass(frozen=True)
@@ -39,7 +45,7 @@ class TorusShape:
                 raise ValueError(f"block rank must be positive, got {k}")
             if s not in (1, -1):
                 raise ValueError(f"block sign must be +1 or -1, got {s}")
-        object.__setattr__(self, "blocks", tuple(sorted(blocks, key=lambda b: (-b[0], b[1]))))
+        object.__setattr__(self, "blocks", tuple(sorted(blocks, key=block_key)))
 
     @property
     def rank(self) -> int:
@@ -228,22 +234,14 @@ def occurs_in_omega_n(residues: tuple[int, ...], shape: TorusShape) -> bool:
     return all(r != 0 for r, (_, s) in zip(residues, shape.blocks) if s == -1)
 
 
-def _block_coefficients(t: TorusElement) -> tuple[int, list[int]]:
-    """(L, [(L / o_b) * m_b mod L per block b]), L the lcm of the factor
-    orders: a character with block residues r takes the value
-    sum((L / o_b) * m_b * r_b) mod L at t, whether or not r_b is reduced
-    mod o_b."""
-    orders = factor_orders(t.shape)
-    L = lcm(*orders)
-    return L, [L // o * m % L for o, m in zip(orders, t.exponents)]
-
-
 def eval_coefficients(t: TorusElement) -> tuple[int, tuple[int, ...]]:
     """(L, c) with c_j = (L / o_b) * m_b * 2^j mod L for the coordinate at
     offset j of block b: a weight mu takes the value sum(c_j * mu_j) mod L
     at t, its block-residue value, since block b sums 2^j * mu_j."""
-    L, coefs = _block_coefficients(t)
-    return L, tuple((cb << j) % L for (k, _), cb in zip(t.shape.blocks, coefs) for j in range(k))
+    orders = factor_orders(t.shape)
+    L = lcm(*orders)
+    blocks = zip(t.shape.blocks, orders, t.exponents)
+    return L, tuple((L // o * m << j) % L for (k, _), o, m in blocks for j in range(k))
 
 
 def eval_weight(mu: EpsWeight, t: TorusElement) -> int:
@@ -257,11 +255,14 @@ def eval_weight(mu: EpsWeight, t: TorusElement) -> int:
     return sum(map(mul, c, mu.coords)) % L
 
 
-def _eval_residues(rows: Iterable[tuple[int, ...]], t: TorusElement) -> Iterator[int]:
-    """Values at t, modulo lcm of the factor orders, of the characters whose
-    block residues are the tuples in rows."""
-    L, coefs = _block_coefficients(t)
-    return (sum(map(mul, coefs, rs)) % L for rs in rows)
+def vanishing(rows: Iterable[tuple[int, ...]], orders: tuple[int, ...], elements: Iterable) -> Iterator[bool]:
+    """For each exponent tuple x in elements, whether some residue row r
+    makes sum(r_i * x_i / o_i) an integer.  The rows become the distinct
+    scaled rows (M / o_i) * r_i mod M, M = lcm(orders), tried by increasing
+    sum (rows vanishing on more blocks first); a test is one dot product."""
+    M = lcm(*orders)
+    scaled = sorted({tuple(M // o * r % M for o, r in zip(orders, rs)) for rs in rows}, key=sum)
+    return (any(sum(map(mul, row, x)) % M == 0 for row in scaled) for x in elements)
 
 
 def unisingular_on_torus(ws: WeightSet, shape: TorusShape) -> bool:
@@ -275,20 +276,11 @@ def unisingular_on_torus(ws: WeightSet, shape: TorusShape) -> bool:
         raise ValueError(f"rank mismatch: {ws.rank} vs {shape.rank}")
     charge(torus_order(shape), f"elements of torus {shape}")
     orders = factor_orders(shape)
-    L = lcm(*orders)
-    coefs = [L // o for o in orders]
-    # rows with vanishing residues sort first so sweeps short-circuit early
-    rows = sorted(
-        (tuple(c * r for c, r in zip(coefs, rs)) for rs in residues(ws, shape)),
-        key=sum,
-    )
-    if rows and not any(rows[0]):
+    rows = residues(ws, shape)
+    if (0,) * len(orders) in rows:
         return True  # a weight trivial on the whole torus covers every element
     charge(torus_order(shape) * len(rows), f"row tests on torus {shape}")
-    for m in product(*(range(o) for o in orders)):
-        if not any(sum(x * mi for x, mi in zip(row, m)) % L == 0 for row in rows):
-            return False
-    return True
+    return all(vanishing(rows, orders, product(*(range(o) for o in orders))))
 
 
 def parse_torus_label(text: str) -> TorusShape:

@@ -1,5 +1,6 @@
 from itertools import product
 from math import prod
+from operator import mod
 
 import pytest
 
@@ -158,17 +159,43 @@ def test_element_has_one_examples():
 
 
 def test_element_fallback_work_is_counted_before_it_starts(monkeypatch):
-    # generator tuples times distinct residue rows: 16 * 8 for w_1 at rank 4
-    g = build_element([(4, 17, -1)])
+    # generator tuples times distinct residue rows mod the block orders: 16 * 8
+    # for w_1 at rank 4 on 4:17:-, and 4 * 4 on 4:5:+, whose 8 rows on the
+    # torus factor of order 15 fall to 4 mod 5
     w = fundamental(4, 1)
-    rows = residues(weight_set(w), to_torus_element(g).shape)
-    size = prod(totient(o) for _, o, _ in g.blocks) * len(rows)
-    assert size == 16 * 8
-    monkeypatch.setattr(sp2n.arith, "WORK_LIMIT", size - 1)
-    with pytest.raises(WorkLimitError):
-        element_has_one(w, g)
-    monkeypatch.setattr(sp2n.arith, "WORK_LIMIT", size)
-    assert element_has_one(w, g).fallback_used
+    for blocks, expected in [([(4, 17, -1)], 16 * 8), ([(4, 5, 1)], 4 * 4)]:
+        g = build_element(blocks)
+        orders = [o for _, o, _ in g.blocks]
+        rows = {tuple(map(mod, rs, orders)) for rs in residues(weight_set(w), to_torus_element(g).shape)}
+        size = prod(totient(o) for o in orders) * len(rows)
+        assert size == expected
+        monkeypatch.setattr(sp2n.arith, "WORK_LIMIT", size - 1)
+        with pytest.raises(WorkLimitError):
+            element_has_one(w, g)
+        monkeypatch.setattr(sp2n.arith, "WORK_LIMIT", size)
+        assert element_has_one(w, g).fallback_used
+
+
+def test_element_fallback_matches_direct_evaluation():
+    # the fallback's inputs, every element at rank 2..5 against every odd
+    # fundamental w_i with i < n, against the reference route: every member
+    # evaluated at the embedding of every generator tuple
+    cases = tuples = 0
+    for n in range(2, 6):
+        for g in enumerate_elements(n):
+            embeddings = [to_torus_element(g, us) for us in generator_tuples(g)]
+            for i in range(1, n, 2):
+                w = fundamental(n, i)
+                v = element_has_one(w, g)
+                assert v.fallback_used, (w, g)
+                # enumerated blocks come in canonical order; reversed, they must give the same verdict
+                assert element_has_one(w, build_element(g.blocks[::-1])) == v, (w, g)
+                found = {any(eval_weight(mu, t) == 0 for mu in weight_set(w)) for t in embeddings}
+                expected = YES if found == {True} else NO if found == {False} else UNDETERMINED
+                assert v.decision == expected, (w, g)
+                cases += 1
+                tuples += len(embeddings)
+    assert (cases, tuples) == (135, 1462)
 
 
 def test_element_has_one_never_mixed():

@@ -12,7 +12,6 @@ from sp2n.reps import ModuleKind, weight_set
 from sp2n.tori import (
     TorusElement,
     TorusShape,
-    _eval_residues,
     block_sums,
     enumerate_shapes,
     eval_coefficients,
@@ -27,6 +26,7 @@ from sp2n.tori import (
     torus_order,
     trivial_constituent,
     unisingular_on_torus,
+    vanishing,
 )
 from sp2n.weights import (
     EpsWeight,
@@ -201,9 +201,12 @@ def test_dot_product_matches_block_residues(case):
     L, c = eval_coefficients(t)
     assert L == lcm(*factor_orders(t.shape)) and len(c) == t.shape.rank
     value = sum(x * m for x, m in zip(c, mu.coords)) % L
-    assert value == next(_eval_residues([block_sums(mu, t.shape)], t)) == eval_weight(mu, t)
+    assert value == eval_weight(mu, t)
+    # the runtime helper at t and its powers t^k vanishes exactly where k * value does
+    rs, orders = block_sums(mu, t.shape), factor_orders(t.shape)
+    powers = [tuple(k * m % o for m, o in zip(t.exponents, orders)) for k in range(L + 1)]
+    assert list(vanishing([rs], orders, powers)) == [k * value % L == 0 for k in range(L + 1)]
     # the block-residue evaluation written out with its own coefficients
-    rs = block_sums(mu, t.shape)
     assert value == sum(L // o * m * r for o, m, r in zip(factor_orders(t.shape), t.exponents, rs)) % L
 
 
