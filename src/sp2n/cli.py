@@ -9,7 +9,8 @@ under the dominant-weight bounds, which bound every weight set, the
 height of a dominance search, generator tuples times residue rows of a
 direct evaluation, or the weight coefficients `branch --N` would print:
 n for each exterior power's factor, about N^3/16 in all) or the running
-tally of the mask words held and codes inserted by the residue engine.
+tally of the mask words held and codes inserted by the residue engine,
+or of the mask words held by the zero kernel behind `torus-trivial`.
 """
 
 import argparse

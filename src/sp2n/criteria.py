@@ -3,8 +3,9 @@
 Every verdict cites the rule tags that produced it (the same tags name
 the verification suites), and records whether a brute-force fallback ran.
 Closed forms are used only where a rule covers the input; the remaining
-cases fall back to direct evaluation: the weight set's residue rows on a
-torus, tested by `tori.vanishing` at every element or generator choice.
+cases fall back to direct evaluation: on a torus, the per-orbit zero test
+`tori.trivial_constituent`; on an element, the weight set's residue rows,
+tested by `tori.vanishing` at every generator choice.
 """
 
 from dataclasses import dataclass

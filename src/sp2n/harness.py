@@ -49,6 +49,8 @@ from .tori import (
     singer_shape,
     trivial_constituent,
     unisingular_on_torus,
+    zero_at,
+    zero_form,
 )
 from .weights import (
     Weight,
@@ -265,26 +267,20 @@ def _suite_ff2(max_n: int):
 def check_element_vs_direct(max_n: int):
     """Closed-form per-element verdicts for top-coefficient weights against
     direct evaluation over every generator choice.  At each generator tuple
-    a weight's value is one dot product (`eval_coefficients`); the members
-    of L(w) are streamed, never stored, and the one that last vanished for
-    w is tried first: it decides about three cases in four at n <= 6, and
-    cuts the members scanned about sixfold at n = 5 and ninefold at n = 6."""
+    the element's values are one linear form (`zero_form`), computed once
+    per rank; whether some weight of L(w) vanishes there is the cached
+    per-orbit zero test `zero_at`, which lists no member."""
     cases, failures = 0, []
     for n in range(1, max_n + 1):
-        elements = [(g, [(us, eval_coefficients(to_torus_element(g, us))) for us in generator_tuples(g)])
+        elements = [(g, [(us, zero_form(to_torus_element(g, us))) for us in generator_tuples(g)])
                     for g in enumerate_elements(n)]
         for w in _restricted_top(n):
             ws = weight_set(w)
-            hit = None  # the member that last vanished for w
             for g, forms in elements:
                 fast = element_has_one(w, g).decision == YES
-                for us, (L, c) in forms:
+                for us, form in forms:
                     cases += 1
-                    direct = hit is not None and sum(map(mul, c, hit)) % L == 0
-                    if not direct:
-                        found = next((v for v in ws.member_coords() if sum(map(mul, c, v)) % L == 0), None)
-                        if found is not None:
-                            hit, direct = found, True
+                    direct = zero_at(ws, form)
                     if fast != direct:
                         _fail(failures, f"n={n} w={w} g={g} u={us}", fast, direct)
     return cases, failures

@@ -6,9 +6,13 @@ On the canonical diagonal form of a block the epsilon coordinate at
 offset j evaluates on the block generator as zeta^(2^j), so a weight
 restricts to a block as the residue sum(c_j * 2^j) modulo the factor
 order.  All wrap-around relations are automatic in the modular
-arithmetic.  `residues` is the one engine evaluating weight sets on tori
-and their elements; it lists no orbit, keeping on each block one o-bit
-mask (o the block's order) of the residues reached per unplaced rest.
+arithmetic.  The weight sets are evaluated without listing an orbit: one
+o-bit mask (o a modulus) of the values reached is kept per unplaced rest
+of an orbit's magnitudes, placed position by position by `_place`.
+`residues` lists every residue tuple of a weight set on a torus.  The
+zero questions, whether a weight restricts trivially to a torus
+(`trivial_constituent`) or vanishes at one element (`zero_at`), go
+through one cached per-orbit kernel that keeps only the masks reaching 0.
 `vanishing` is the one runtime evaluation of residue rows at torus elements;
 `eval_coefficients`, the oracles' route, writes a value at a torus element
 in canonical form as a dot product with the epsilon coordinates.
@@ -142,7 +146,7 @@ def restricts_trivially(mu: EpsWeight, shape: TorusShape) -> bool:
     return not any(block_sums(mu, shape))
 
 
-_spent: ContextVar[int] = ContextVar("residue work spent")
+_spent: ContextVar[int] = ContextVar("engine work spent")
 
 
 def residues(ws: WeightSet, shape: TorusShape) -> frozenset[tuple[int, ...]]:
@@ -166,10 +170,10 @@ def residues(ws: WeightSet, shape: TorusShape) -> frozenset[tuple[int, ...]]:
 
 
 def _spend(count: int) -> None:
-    """Add count to the tally of the running `residues` call and charge it."""
+    """Add count to the tally of the running engine call and charge it."""
     spent = _spent.get() + count
     _spent.set(spent)
-    charge(spent, "residue mask words and code insertions")
+    charge(spent, "mask words and code insertions")
 
 
 @lru_cache(maxsize=1 << 14)
@@ -181,19 +185,13 @@ def _residue_codes(blocks: tuple[tuple[int, int], ...], orbits: tuple[tuple[int,
     o-bit mask of the residues reached; then each key is joined, at the set
     bits of its mask only, with the codes of its rest on the later blocks.
 
-    Charged as it runs: ceil(o / 64) words before the first pass (so a mask
-    too wide to allocate is refused before any shift), the words of the
-    masks each pass returns (one per started 64 bits), and before each join
-    its popcount(mask) * len(tail) set insertions."""
+    Charged as it runs: the passes as `_passes` charges them, and before
+    each join its popcount(mask) * len(tail) set insertions."""
     if not blocks:
         return (0,)
     (k, s), later = blocks[0], blocks[1:]
     o, stride = 2**k - s, prod(2**b - t for b, t in later)
-    _spend(-(-o // 64))
-    states = dict.fromkeys(orbits, 1)
-    for j in range(k):
-        states = _place(states, j, o)
-        _spend(sum(-(-mask.bit_length() // 64) for mask in states.values()))
+    states = _passes(dict.fromkeys(orbits, 1), [1 << j for j in range(k)], o)
     codes = set()
     for rest, mask in states.items():
         tail, bits = _residue_codes(later, (rest,)), bin(mask)[:1:-1]  # bit r at index r
@@ -205,24 +203,85 @@ def _residue_codes(blocks: tuple[tuple[int, int], ...], orbits: tuple[tuple[int,
     return tuple(codes)
 
 
-def _place(states: dict, j: int, o: int) -> dict:
+def _passes(states: dict, cs: Iterable[int], o: int) -> dict:
+    """The states after one `_place` pass per multiplier in cs, modulus o.
+    Charged as it runs: ceil(o / 64) words before the first pass (so a mask
+    too wide to allocate is refused before any shift), then the words of
+    the masks each pass returns (one per started 64 bits)."""
+    _spend(-(-o // 64))
+    for c in cs:
+        states = _place(states, c, o)
+        _spend(sum(-(-mask.bit_length() // 64) for mask in states.values()))
+    return states
+
+
+def _place(states: dict, c: int, o: int) -> dict:
     """The states {unplaced rest: mask of residues mod o} after one more
-    magnitude v is placed, with either sign, at the position worth 2^j: the
-    mask rotated by +(v * 2^j) and by -(v * 2^j) mod o."""
+    magnitude v is placed, with either sign, at a position of multiplier c:
+    the mask rotated by +(v * c) and by -(v * c) mod o."""
     full, out = (1 << o) - 1, {}
     for left, mask in states.items():
         both = mask | mask << o  # bit r at r and r + o: a rotation is one shift
         for i, v in enumerate(left):
             if i and left[i - 1] == v:
                 continue  # equal magnitudes give equal arrangements
-            a, rest = (v << j) % o, left[:i] + left[i + 1:]
+            a, rest = v * c % o, left[:i] + left[i + 1:]
             out[rest] = out.get(rest, 0) | ((both >> a | both >> (o - a)) & full)
     return out
 
 
+@lru_cache(maxsize=1 << 16)
+def _zero(forms: tuple[tuple[int, tuple[int, ...]], ...], orbit: tuple[int, ...]) -> bool:
+    """Whether some signed arrangement of the sorted magnitudes `orbit` makes
+    every linear form vanish: each form (m, c) takes the next len(c)
+    positions, worth c_j modulo m.  The first form's passes (`_passes`, the
+    only charge) run as in `_residue_codes`; only the keys whose mask holds
+    residue 0 go on to the later forms, and nothing is joined."""
+    if not forms:
+        return True
+    (m, cs), later = forms[0], forms[1:]
+    states = _passes({orbit: 1}, cs, m)
+    return any(mask & 1 and _zero(later, rest) for rest, mask in states.items())
+
+
+def _zero_in(ws: WeightSet, forms: tuple[tuple[int, tuple[int, ...]], ...]) -> bool:
+    """Whether some weight of ws makes every form vanish, orbit by orbit,
+    against one work tally per call."""
+    token = _spent.set(0)
+    try:
+        return any(_zero(forms, to_eps(w).coords) for w in ws.reps)
+    finally:
+        _spent.reset(token)
+
+
 def trivial_constituent(ws: WeightSet, shape: TorusShape) -> bool:
-    """True when some weight of ws restricts trivially to the torus."""
-    return (0,) * len(shape.blocks) in residues(ws, shape)
+    """True when some weight of ws restricts trivially to the torus: its
+    block sum over offsets j, worth 2^j, vanishes modulo every 2^k - sign."""
+    if ws.rank != shape.rank:
+        raise ValueError(f"rank mismatch: {ws.rank} vs {shape.rank}")
+    return _zero_in(ws, tuple((2**k - s, tuple(1 << j for j in range(k))) for k, s in shape.blocks))
+
+
+def zero_form(t: TorusElement) -> tuple[int, tuple[int, ...]]:
+    """The canonical form (m, c) of `eval_coefficients(t)` = (L, c'): m = L / g
+    and c the sorted min(c'_j, L - c'_j) / g, g = gcd(L, c').  A weight
+    vanishes at t iff sum(c_j * mu_j) = 0 mod m; the Weyl group permutes
+    and negates coordinates, so for a Weyl orbit the answer depends on the
+    form only."""
+    L, c = eval_coefficients(t)
+    g = gcd(L, *c)
+    return L // g, tuple(sorted(min(x, L - x) // g for x in c))
+
+
+def zero_at(ws: WeightSet, form: tuple[int, tuple[int, ...]]) -> bool:
+    """Whether some weight of ws vanishes at a torus element of canonical
+    form `form` (see `zero_form`): whether the element has eigenvalue 1."""
+    m, c = form
+    if m < 1:
+        raise ValueError(f"modulus must be positive, got {m}")
+    if len(c) != ws.rank:
+        raise ValueError(f"rank mismatch: {ws.rank} vs {len(c)}")
+    return _zero_in(ws, ((m, tuple(c)),))
 
 
 def occurs_in_omega_n(residues: tuple[int, ...], shape: TorusShape) -> bool:
@@ -275,10 +334,10 @@ def unisingular_on_torus(ws: WeightSet, shape: TorusShape) -> bool:
     if ws.rank != shape.rank:
         raise ValueError(f"rank mismatch: {ws.rank} vs {shape.rank}")
     charge(torus_order(shape), f"elements of torus {shape}")
+    if trivial_constituent(ws, shape):
+        return True  # a weight trivial on the whole torus covers every element
     orders = factor_orders(shape)
     rows = residues(ws, shape)
-    if (0,) * len(orders) in rows:
-        return True  # a weight trivial on the whole torus covers every element
     charge(torus_order(shape) * len(rows), f"row tests on torus {shape}")
     return all(vanishing(rows, orders, product(*(range(o) for o in orders))))
 

@@ -158,12 +158,7 @@ def simple_root(rank: int, i: int) -> EpsWeight:
 
 def to_eps(w: Weight) -> EpsWeight:
     """Change of basis: c_j = a_j + a_{j+1} + ... + a_n."""
-    acc = 0
-    out = [0] * w.rank
-    for j in range(w.rank - 1, -1, -1):
-        acc += w.coeffs[j]
-        out[j] = acc
-    return EpsWeight(tuple(out))
+    return EpsWeight(tuple(accumulate(reversed(w.coeffs)))[::-1])
 
 
 def from_eps(e: EpsWeight) -> Weight:

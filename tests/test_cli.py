@@ -108,7 +108,7 @@ _OMEGA_1_RANK_20 = ",".join(["1"] + ["0"] * 19)
     ["weights", "12", "1,1,1,1,1,1,1,1,1,1,1,0"],
     # 4,655,293 dominant weights with delta <= 66, the candidates of the a_n = 1 rule
     ["weights", "11", "1,1,1,1,1,1,1,1,1,1,1"],
-    # residue mask words of the orbits below w_39 on a torus of order 1048575^2
+    # zero-test mask words of the orbits below w_39 on a torus of order 1048575^2
     ["torus-trivial", "40", ",".join(["0"] * 38 + ["1", "0"]), "--torus", "20,20"],
     # one mask of 2^40 - 1 bits, refused before it is allocated
     ["torus-trivial", "40", ",".join(["0"] * 38 + ["1", "0"]), "--torus", "40"],

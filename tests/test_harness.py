@@ -92,9 +92,9 @@ def test_dominance_search_work_is_pinned():
     assert len(weights._ORACLE_TABLE) == 3303
 
 
-def test_th2_residue_keys_are_pinned(monkeypatch):
-    # the residue engine is deterministic, so the number of keys its passes
-    # create over the whole suite from a cold cache catches a complexity regression
+def _place_keys(call, monkeypatch):
+    """call() and the number of keys the passes of `_place` create for it
+    from cold engine caches."""
     keys = 0
     place = tori._place
 
@@ -106,9 +106,30 @@ def test_th2_residue_keys_are_pinned(monkeypatch):
 
     monkeypatch.setattr(tori, "_place", counting_place)
     tori._residue_codes.cache_clear()
-    rep = run_suite("th2")
+    tori._zero.cache_clear()
+    return call(), keys
+
+
+def test_th2_residue_keys_are_pinned(monkeypatch):
+    # the residue engine is deterministic, so the number of keys its passes
+    # create over the whole suite from a cold cache catches a complexity regression
+    rep, keys = _place_keys(lambda: run_suite("th2"), monkeypatch)
     assert rep.cases == 5460 and rep.passed
     assert keys == 10181
+
+
+@pytest.mark.parametrize("name, cases, pinned", [("ee3", 30, 934), ("s10", 212, 960)])
+def test_torus_zero_test_keys_are_pinned(name, cases, pinned, monkeypatch):
+    # the oracles of ee3 and s10 are the per-orbit zero test, shared across weight sets
+    rep, keys = _place_keys(lambda: run_suite(name), monkeypatch)
+    assert rep.cases == cases and rep.passed
+    assert keys == pinned
+
+
+def test_element_zero_test_keys_are_pinned(monkeypatch):
+    (cases, failures), keys = _place_keys(lambda: harness.check_element_vs_direct(4), monkeypatch)
+    assert cases == 1529 and failures == []
+    assert keys == 758
 
 
 def _value_by_blocks(mu, t):

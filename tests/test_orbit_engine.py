@@ -6,12 +6,13 @@ The reference sets here are built the long way, independently of
 sign patterns, saturated sets as unions of those orbits, and the a_n = 1
 sets as the explicit Minkowski sum with the orbit of the top fundamental
 weight.  The bitset residue engine is also checked against the set-based
-engine it replaced, kept here as `_ref_codes`.
+engine it replaced, kept here as `_ref_codes`, and the per-orbit zero tests
+against the residue engine and against `eval_weight`.
 """
 
 from functools import cache
 from itertools import permutations, product
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,8 +21,20 @@ from hypothesis import strategies as st
 from sp2n import arith, tori
 from sp2n.arith import WorkLimitError
 from sp2n.criteria import singer_cycle_has_one, th7_blocks
+from sp2n.elements import SemisimpleElement, enumerate_elements, generator_tuples, to_torus_element
 from sp2n.reps import ModuleKind, weight_set
-from sp2n.tori import TorusShape, enumerate_shapes, residues, singer_shape
+from sp2n.tori import (
+    TorusElement,
+    TorusShape,
+    enumerate_shapes,
+    eval_weight,
+    factor_orders,
+    residues,
+    singer_shape,
+    trivial_constituent,
+    zero_at,
+    zero_form,
+)
 from sp2n.weights import (
     EpsWeight,
     Weight,
@@ -326,3 +339,131 @@ def test_wide_block_is_refused_before_any_pass(monkeypatch):
     with pytest.raises(WorkLimitError):
         residues(ws, shape)
     assert not passes
+
+
+@st.composite
+def _module_on_torus(draw):
+    """A torus shape of rank n <= 6 and the weight set of a restricted
+    weight of either kind, or of a Weyl module with coefficients up to 2."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from((IRR2, WEYL)))
+    coeffs = st.integers(0, 1 if kind is IRR2 or n > 4 else 2)
+    w = Weight(tuple(draw(st.lists(coeffs, min_size=n, max_size=n))))
+    return weight_set(w, kind), draw(st.sampled_from(enumerate_shapes(n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_module_on_torus())
+@example((weight_set(Weight((1, 0, 1, 0, 1, 0))), TorusShape(((3, -1), (2, 1), (1, -1)))))
+def test_zero_test_matches_residue_engine(case):
+    ws, shape = case
+    assert trivial_constituent(ws, shape) == ((0,) * len(shape.blocks) in residues(ws, shape))
+
+
+@st.composite
+def _element_and_module(draw):
+    """A torus element of a random shape of rank n <= 5 and the weight set
+    of a restricted weight of either kind."""
+    n = draw(st.integers(1, 5))
+    shape = draw(st.sampled_from(enumerate_shapes(n)))
+    exponents = tuple(draw(st.integers(0, o - 1)) for o in factor_orders(shape))
+    w = Weight(tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))))
+    return TorusElement(shape, exponents), weight_set(w, draw(st.sampled_from((IRR2, WEYL))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_element_and_module())
+def test_zero_at_matches_member_values(case):
+    t, ws = case
+    assert zero_at(ws, zero_form(t)) == any(eval_weight(mu, t) == 0 for mu in ws)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_zero_form_is_canonical(data):
+    # multiplying a block's generator by 2 or -1 permutes and negates that
+    # block's coefficients, and block order is the torus's: the form stays
+    g = data.draw(st.sampled_from(enumerate_elements(data.draw(st.integers(1, 5)))))
+    us = data.draw(st.sampled_from(list(generator_tuples(g))))
+    form = zero_form(to_torus_element(g, us))
+    powers = [data.draw(st.sampled_from((1, -1))) * 2 ** data.draw(st.integers(0, 6)) for _ in us]
+    moved = tuple(p * u % o for p, u, (_, o, _) in zip(powers, us, g.blocks))
+    assert gcd(form[0], *form[1]) == 1 and all(2 * c <= form[0] for c in form[1])
+    assert zero_form(to_torus_element(g, moved)) == form
+    assert zero_form(to_torus_element(SemisimpleElement(g.blocks[::-1]), moved[::-1])) == form
+
+
+def test_zero_at_validates_form():
+    with pytest.raises(ValueError):
+        zero_at(weight_set(fundamental(2, 1)), (5, (1, 2, 4)))
+    with pytest.raises(ValueError):
+        zero_at(weight_set(fundamental(2, 1)), (0, (1, 2)))
+
+
+def _zero_created(call, mp):
+    """The work the zero kernel does for call() from a cold cache, counted
+    from outside: for each distinct call, ceil(m / 64) words for its first
+    form (of modulus m) and the words of every key its passes return."""
+    created = 0
+    place, body = tori._place, tori._zero.__wrapped__
+
+    def counting_place(*args):
+        nonlocal created
+        out = place(*args)
+        created += sum(-(-mask.bit_length() // 64) for mask in out.values())
+        return out
+
+    @cache
+    def counting_zero(forms, orbit):
+        nonlocal created
+        if forms:
+            created += -(-forms[0][0] // 64)
+        return body(forms, orbit)  # its calls on the later forms come back here
+
+    mp.setattr(tori, "_place", counting_place)
+    mp.setattr(tori, "_zero", counting_zero)
+    return call(), created
+
+
+def _zero_charged(call, monkeypatch):
+    """`_zero_created(call)`, checked to be exactly what the kernel charges
+    from a cold cache: a work limit one below it refuses, one at it answers."""
+    with monkeypatch.context() as mp:
+        answer, created = _zero_created(call, mp)
+    for limit in (created - 1, created):
+        tori._zero.cache_clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(arith, "WORK_LIMIT", limit)
+            if limit < created:
+                with pytest.raises(WorkLimitError):
+                    call()
+            else:
+                assert call() == answer
+    return answer, created
+
+
+def test_zero_work_is_charged_exactly(monkeypatch):
+    # w_5 has no trivial constituent on this torus, and no eigenvalue 1 at
+    # the element of order 17 * 5 * 3 generating it: all three orbits are
+    # followed to the end
+    ws, shape = weight_set(fundamental(7, 5)), TorusShape(((4, -1), (2, -1), (1, -1)))
+    assert _zero_charged(lambda: trivial_constituent(ws, shape), monkeypatch) == (False, 45)
+    form = zero_form(TorusElement(shape, (1, 1, 1)))
+    assert form == (255, (15, 30, 51, 60, 85, 102, 120))
+    assert _zero_charged(lambda: zero_at(ws, form), monkeypatch) == (False, 172)
+
+
+def test_wide_block_zero_test_is_refused_before_any_pass(monkeypatch):
+    # a block of order 2^40 - 1 would need masks of 2^34 words
+    ws, shape = weight_set(fundamental(40, 1)), TorusShape(((40, 1),))
+    passes = []
+    place = tori._place
+    monkeypatch.setattr(tori, "_place", lambda *args: passes.append(args) or place(*args))
+    tori._zero.cache_clear()
+    with pytest.raises(WorkLimitError):
+        trivial_constituent(ws, shape)
+    assert not passes
+
+
+def test_zero_cache_is_bounded():
+    assert 0 < tori._zero.cache_info().maxsize < 1 << 20
