@@ -3,25 +3,16 @@
 Every verdict cites the rule tags that produced it (the same tags name
 the verification suites), and records whether a brute-force fallback ran.
 Closed forms are used only where a rule covers the input; the remaining
-cases fall back to direct evaluation: on a torus, the per-orbit zero test
-`tori.trivial_constituent`; on an element, the weight set's residue rows,
-tested by `tori.vanishing` at every generator choice.
+cases fall back to direct evaluation through one per-orbit zero kernel:
+on a torus, `tori.trivial_constituent`; on an element, `tori.zero_at` at
+each distinct canonical form its generator choices take (`tori.zero_forms`).
 """
 
 from dataclasses import dataclass
-from math import prod
-from operator import mod
 
-from .arith import charge, totient
-from .elements import (
-    SemisimpleElement,
-    generator_tuples,
-    has_eigenvalue_one_omega_n,
-    singer_height_fast,
-    singer_index_element,
-)
+from .elements import SemisimpleElement, has_eigenvalue_one_omega_n, singer_height_fast, singer_index_element
 from .reps import ModuleKind, twist_decompose, weight_set
-from .tori import TorusShape, block_key, residues, singer_index, t_sharp, trivial_constituent, vanishing
+from .tori import TorusShape, singer_index, t_sharp, trivial_constituent, zero_at, zero_forms
 from .weights import Weight, delta, fundamental, gamma, is_radical, to_eps
 
 YES = "yes"
@@ -135,16 +126,11 @@ def element_has_one(w: Weight, g: SemisimpleElement) -> Verdict:
         return Verdict(YES, ("Lem-pr4",))
     if gamma(w) != 1:
         return Verdict(YES, ("Lem-cc2",))
-    # odd fundamental weight: evaluate over every generator choice u, blocks in
-    # the torus's canonical order; block i's torus exponent is (O_i / o_i) * u_i,
-    # so a residue row r takes the value sum(r_i * u_i / o_i) mod 1
-    blocks = tuple(sorted(g.blocks, key=block_key))
-    orders = tuple(o for _, o, _ in blocks)
-    shape = TorusShape(tuple((d, s) for d, _, s in blocks))
-    rows = {tuple(map(mod, rs, orders)) for rs in residues(weight_set(w, ModuleKind.IRREDUCIBLE_2), shape)}
-    tuples = prod(map(totient, orders))
-    charge(tuples * len(rows), f"evaluations ({tuples} generator tuples times {len(rows)} residue rows)")
-    results = set(vanishing(rows, orders, generator_tuples(SemisimpleElement(blocks))))
+    # odd fundamental weight: one zero test per distinct form of the
+    # embeddings of g over its generator choices
+    forms = zero_forms(((d, o) for d, o, _ in g.blocks), units=True)
+    ws = weight_set(w, ModuleKind.IRREDUCIBLE_2)
+    results = {zero_at(ws, f) for f in forms}
     if results == {True}:
         return Verdict(YES, ("direct",), fallback_used=True)
     if results == {False}:

@@ -13,20 +13,22 @@ of an orbit's magnitudes, placed position by position by `_place`.
 zero questions, whether a weight restricts trivially to a torus
 (`trivial_constituent`) or vanishes at one element (`zero_at`), go
 through one cached per-orbit kernel that keeps only the masks reaching 0.
-`vanishing` is the one runtime evaluation of residue rows at torus elements;
+`zero_forms` lists the distinct canonical forms of the elements of a torus
+or of an element's generator choices, each tested once by `zero_at`;
 `eval_coefficients`, the oracles' route, writes a value at a torus element
 in canonical form as a dot product with the epsilon coordinates.
 """
 
-from collections.abc import Iterable, Iterator
+from collections import Counter
+from collections.abc import Iterable
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import gcd, lcm, prod
 from operator import mul
 
-from .arith import charge, partition_counts, partitions_under
+from .arith import charge, partition_counts, partitions_under, totient
 from .weights import EpsWeight, WeightSet, to_eps
 
 
@@ -268,9 +270,34 @@ def zero_form(t: TorusElement) -> tuple[int, tuple[int, ...]]:
     vanishes at t iff sum(c_j * mu_j) = 0 mod m; the Weyl group permutes
     and negates coordinates, so for a Weyl orbit the answer depends on the
     form only."""
-    L, c = eval_coefficients(t)
+    return _canonical(*eval_coefficients(t))
+
+
+def _canonical(L: int, c: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     g = gcd(L, *c)
     return L // g, tuple(sorted(min(x, L - x) // g for x in c))
+
+
+def zero_forms(blocks: Iterable[tuple[int, int]], units: bool) -> list[tuple[int, tuple[int, ...]]]:
+    """The distinct canonical forms (`zero_form`), sorted, of the elements of
+    a product of cyclic blocks (d, o): a block takes the values v modulo o,
+    its units (units=True, an element's generator choices) or all of them
+    (a torus factor), with coefficients (M / o) * v * 2^j mod M for j < d,
+    M the lcm of the orders.  A form sees only the union of the blocks'
+    folded coefficient multisets, so each block type keeps its distinct
+    multisets (v -> 2v rotates one, v -> -v negates it) and equal blocks
+    take them with repetition.  Charged before each step: the values times
+    d summed over the block types, then the picks times the rank."""
+    types = Counter(blocks)
+    charge(sum(d * (totient(o) if units else o) for d, o in types), "block coefficients")
+    M, choices = lcm(*(o for _, o in types)), []
+    for (d, o), r in types.items():
+        values = (M // o * v for v in range(o) if not units or gcd(v, o) == 1)
+        folded = {tuple(sorted(min(x, M - x) for x in [(c << j) % M for j in range(d)])) for c in values}
+        choices.append([sum(pick, ()) for pick in combinations_with_replacement(sorted(folded), r)])
+    n = sum(d * r for (d, _), r in types.items())
+    charge(prod(map(len, choices)) * n, f"form picks times rank {n}")
+    return sorted({_canonical(M, sum(pick, ())) for pick in product(*choices)})
 
 
 def zero_at(ws: WeightSet, form: tuple[int, tuple[int, ...]]) -> bool:
@@ -314,32 +341,18 @@ def eval_weight(mu: EpsWeight, t: TorusElement) -> int:
     return sum(map(mul, c, mu.coords)) % L
 
 
-def vanishing(rows: Iterable[tuple[int, ...]], orders: tuple[int, ...], elements: Iterable) -> Iterator[bool]:
-    """For each exponent tuple x in elements, whether some residue row r
-    makes sum(r_i * x_i / o_i) an integer.  The rows become the distinct
-    scaled rows (M / o_i) * r_i mod M, M = lcm(orders), tried by increasing
-    sum (rows vanishing on more blocks first); a test is one dot product."""
-    M = lcm(*orders)
-    scaled = sorted({tuple(M // o * r % M for o, r in zip(orders, rs)) for rs in rows}, key=sum)
-    return (any(sum(map(mul, row, x)) % M == 0 for row in scaled) for x in elements)
-
-
 def unisingular_on_torus(ws: WeightSet, shape: TorusShape) -> bool:
     """Brute-force sweep: does every torus element take value 1 on some weight?
 
-    Tests every exponent tuple against every residue row; errors out, not
-    truncating, when the torus order or the order times the rows is over
-    the work limit.
+    Tests each distinct zero form of the torus elements (`zero_forms`) with
+    `zero_at`; errors out, not truncating, when any of their charges is
+    over the work limit.
     """
     if ws.rank != shape.rank:
         raise ValueError(f"rank mismatch: {ws.rank} vs {shape.rank}")
-    charge(torus_order(shape), f"elements of torus {shape}")
     if trivial_constituent(ws, shape):
         return True  # a weight trivial on the whole torus covers every element
-    orders = factor_orders(shape)
-    rows = residues(ws, shape)
-    charge(torus_order(shape) * len(rows), f"row tests on torus {shape}")
-    return all(vanishing(rows, orders, product(*(range(o) for o in orders))))
+    return all(zero_at(ws, f) for f in zero_forms(((k, 2**k - s) for k, s in shape.blocks), units=False))
 
 
 def parse_torus_label(text: str) -> TorusShape:

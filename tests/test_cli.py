@@ -100,7 +100,7 @@ _OMEGA_1_RANK_20 = ",".join(["1"] + ["0"] * 19)
 
 
 @pytest.mark.parametrize("argv", [
-    # 986,880 generator tuples times 40 residue rows
+    # 986,880 units modulo the block order times its 20 coefficients
     ["element", "20:1048577:-", "--omega", _OMEGA_1_RANK_20],
     # 9,035,539 torus classes
     ["tori", "40"],

@@ -1,10 +1,12 @@
+import ast
 from itertools import product
-from math import prod
-from operator import mod
+from pathlib import Path
 
 import pytest
 
 import sp2n.arith
+import sp2n.criteria
+from sp2n import tori
 from sp2n.arith import WorkLimitError, totient
 from sp2n.criteria import (
     NO,
@@ -36,9 +38,10 @@ from sp2n.tori import (
     TorusShape,
     enumerate_shapes,
     eval_weight,
-    residues,
     singer_shape,
     trivial_constituent,
+    zero_form,
+    zero_forms,
 )
 from sp2n.weights import Weight, delta, fundamental, zero_weight
 
@@ -159,21 +162,40 @@ def test_element_has_one_examples():
 
 
 def test_element_fallback_work_is_counted_before_it_starts(monkeypatch):
-    # generator tuples times distinct residue rows mod the block orders: 16 * 8
-    # for w_1 at rank 4 on 4:17:-, and 4 * 4 on 4:5:+, whose 8 rows on the
-    # torus factor of order 15 fall to 4 mod 5
+    # the units of each block order times its degree: 16 * 4 for w_1 at rank 4
+    # on 4:17:-, and 4 * 4 on 4:5:+; the picks times the rank (2 * 4 and 1 * 4)
+    # and the zero kernel's mask words stay below
     w = fundamental(4, 1)
-    for blocks, expected in [([(4, 17, -1)], 16 * 8), ([(4, 5, 1)], 4 * 4)]:
+    for blocks, expected in [([(4, 17, -1)], 16 * 4), ([(4, 5, 1)], 4 * 4)]:
         g = build_element(blocks)
-        orders = [o for _, o, _ in g.blocks]
-        rows = {tuple(map(mod, rs, orders)) for rs in residues(weight_set(w), to_torus_element(g).shape)}
-        size = prod(totient(o) for o in orders) * len(rows)
+        size = sum(totient(o) * d for d, o, _ in g.blocks)
         assert size == expected
+        tori._zero.cache_clear()
         monkeypatch.setattr(sp2n.arith, "WORK_LIMIT", size - 1)
         with pytest.raises(WorkLimitError):
             element_has_one(w, g)
         monkeypatch.setattr(sp2n.arith, "WORK_LIMIT", size)
         assert element_has_one(w, g).fallback_used
+
+
+def test_element_forms_match_every_generator_choice():
+    # the distinct canonical forms of an element are those of its embeddings
+    # at every generator tuple, blocks in any order
+    for n in range(1, 7):
+        for g in enumerate_elements(n):
+            expected = sorted({zero_form(to_torus_element(g, us)) for us in generator_tuples(g)})
+            for blocks in (g.blocks, g.blocks[::-1]):
+                assert zero_forms(((d, o) for d, o, _ in blocks), units=True) == expected, g
+
+
+def test_criteria_evaluates_no_residue_rows():
+    # the fallbacks reach weights at tori and elements only through the zero kernel
+    tree = ast.parse(Path(sp2n.criteria.__file__).read_text())
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
+    evaluators = {"residues", "block_sums", "restricts_trivially", "eval_coefficients", "eval_weight"}
+    assert imported & evaluators == set()
+    assert {"zero_at", "zero_forms", "trivial_constituent"} <= imported
+    assert not hasattr(tori, "vanishing")
 
 
 def test_element_fallback_matches_direct_evaluation():

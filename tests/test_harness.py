@@ -6,7 +6,7 @@ import pytest
 
 from sp2n import harness, reps, tori, weights
 from sp2n.criteria import NO, YES
-from sp2n.elements import build_element, enumerate_elements, generator_tuples, to_torus_element
+from sp2n.elements import build_element, enumerate_elements, generator_tuples, parse_element, to_torus_element
 from sp2n.harness import SUITE_NAMES, run_suite
 from sp2n.tori import block_sums, factor_orders
 from sp2n.weights import Weight, fundamental
@@ -130,6 +130,25 @@ def test_element_zero_test_keys_are_pinned(monkeypatch):
     (cases, failures), keys = _place_keys(lambda: harness.check_element_vs_direct(4), monkeypatch)
     assert cases == 1529 and failures == []
     assert keys == 758
+
+
+def test_element_fallback_keys_are_pinned(monkeypatch):
+    # one fallback query: w_3 at 5:33:-;2:3:+ takes two distinct forms modulo 33
+    w, g = fundamental(7, 3), parse_element("5:33:-;2:3:+")
+    verdict, keys = _place_keys(lambda: harness.element_has_one(w, g), monkeypatch)
+    assert verdict.decision == NO and verdict.fallback_used
+    assert keys == 64
+
+
+def test_torus_sweep_keys_are_pinned(monkeypatch):
+    (cases, failures), keys = _place_keys(lambda: harness.check_unisingular_vs_sweeps(5), monkeypatch)
+    assert cases == 62 and failures == []
+    assert keys == 4885
+
+
+def test_torus_sweeps_answer_at_rank_7():
+    # fr1's sweep half one rank above the default cap, every shape included
+    assert harness.check_unisingular_vs_sweeps(7) == (254, [])
 
 
 def _value_by_blocks(mu, t):

@@ -26,7 +26,8 @@ from sp2n.tori import (
     torus_order,
     trivial_constituent,
     unisingular_on_torus,
-    vanishing,
+    zero_form,
+    zero_forms,
 )
 from sp2n.weights import (
     EpsWeight,
@@ -202,10 +203,7 @@ def test_dot_product_matches_block_residues(case):
     assert L == lcm(*factor_orders(t.shape)) and len(c) == t.shape.rank
     value = sum(x * m for x, m in zip(c, mu.coords)) % L
     assert value == eval_weight(mu, t)
-    # the runtime helper at t and its powers t^k vanishes exactly where k * value does
-    rs, orders = block_sums(mu, t.shape), factor_orders(t.shape)
-    powers = [tuple(k * m % o for m, o in zip(t.exponents, orders)) for k in range(L + 1)]
-    assert list(vanishing([rs], orders, powers)) == [k * value % L == 0 for k in range(L + 1)]
+    rs = block_sums(mu, t.shape)
     # the block-residue evaluation written out with its own coefficients
     assert value == sum(L // o * m * r for o, m, r in zip(factor_orders(t.shape), t.exponents, rs)) % L
 
@@ -231,20 +229,31 @@ def test_unisingular_on_torus_examples():
 
 
 def test_sweep_limit_enforced():
-    # the torus of order 2^20 - 1 = 1,048,575 is over the work limit of 10^6
+    # 20 coefficients for each of the 1,048,575 exponents of the torus 20 are
+    # over the work limit of 10^6
     ws = weight_set(fundamental(20, 1), IRR2)
     with pytest.raises(WorkLimitError):
         unisingular_on_torus(ws, TorusShape(((20, 1),)))
 
 
 def test_sweep_limit_counts_rows():
-    # order 6,147 is under the limit, but 6,147 elements times 6,146 residue
-    # rows of w_1 + w_12 is not: the sweep is refused before it starts
+    # w_1 + w_12 has 6,146 residue rows on the 6,147 elements of -11,-1; the
+    # sweep tests only the distinct zero forms of the elements
     ws = weight_set(Weight((1,) + (0,) * 10 + (1,)), IRR2)
     started = time.perf_counter()
-    with pytest.raises(WorkLimitError, match="37779462 row tests"):
-        unisingular_on_torus(ws, parse_torus_label("-11,-1"))
+    assert unisingular_on_torus(ws, parse_torus_label("-11,-1"))
     assert time.perf_counter() - started < 2
+    # both answers are those of the row-by-row sweep without its work limit
+    assert unisingular_on_torus(weight_set(Weight((1,) + (0,) * 8 + (1,)), IRR2), parse_torus_label("-9,-1"))
+
+
+def test_torus_forms_match_every_element():
+    # the distinct canonical forms of a torus are those of its elements one by one
+    for n in range(1, 6):
+        for sh in enumerate_shapes(n):
+            elements = product(*(range(o) for o in factor_orders(sh)))
+            expected = sorted({zero_form(TorusElement(sh, e)) for e in elements})
+            assert zero_forms(((k, 2**k - s) for k, s in sh.blocks), units=False) == expected, sh
 
 
 def test_singer_torus_misses_odd_fundamentals():
