@@ -25,7 +25,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 from operator import mul
 
 from .arith import charge, partition_counts, partitions_under, totient
@@ -287,17 +287,16 @@ def zero_forms(blocks: Iterable[tuple[int, int]], units: bool) -> list[tuple[int
     folded coefficient multisets, so each block type keeps its distinct
     multisets (v -> 2v rotates one, v -> -v negates it) and equal blocks
     take them with repetition.  Charged before each step: the values times
-    d summed over the block types, then the picks times the rank."""
+    d summed over the block types, then the picks, counted from the
+    multisets by binomials before any is built, times the rank."""
     types = Counter(blocks)
     charge(sum(d * (totient(o) if units else o) for d, o in types), "block coefficients")
-    M, choices = lcm(*(o for _, o in types)), []
-    for (d, o), r in types.items():
-        values = (M // o * v for v in range(o) if not units or gcd(v, o) == 1)
-        folded = {tuple(sorted(min(x, M - x) for x in [(c << j) % M for j in range(d)])) for c in values}
-        choices.append([sum(pick, ()) for pick in combinations_with_replacement(sorted(folded), r)])
-    n = sum(d * r for (d, _), r in types.items())
-    charge(prod(map(len, choices)) * n, f"form picks times rank {n}")
-    return sorted({_canonical(M, sum(pick, ())) for pick in product(*choices)})
+    M, n = lcm(*(o for _, o in types)), sum(d * r for (d, _), r in types.items())
+    folded = [(sorted({tuple(sorted(min(x, M - x) for x in [(M // o * v << j) % M for j in range(d)]))
+                       for v in range(o) if not units or gcd(v, o) == 1}), r) for (d, o), r in types.items()]
+    charge(prod(comb(len(f) + r - 1, r) for f, r in folded) * n, f"form picks times rank {n}")
+    picks = product(*(combinations_with_replacement(f, r) for f, r in folded))
+    return sorted({_canonical(M, sum(sum(pick, ()), ())) for pick in picks})
 
 
 def zero_at(ws: WeightSet, form: tuple[int, tuple[int, ...]]) -> bool:

@@ -102,6 +102,8 @@ _OMEGA_1_RANK_20 = ",".join(["1"] + ["0"] * 19)
 @pytest.mark.parametrize("argv", [
     # 986,880 units modulo the block order times its 20 coefficients
     ["element", "20:1048577:-", "--omega", _OMEGA_1_RANK_20],
+    # 5,259,030 picks of the 316 folded multisets of 13:8191:+ taken 3 at a time
+    ["element", "13:8191:+;13:8191:+;13:8191:+", "--omega", ",".join(["1"] + ["0"] * 38)],
     # 9,035,539 torus classes
     ["tori", "40"],
     # 5,914,310 dominant weights with delta <= 66
@@ -112,7 +114,7 @@ _OMEGA_1_RANK_20 = ",".join(["1"] + ["0"] * 19)
     ["torus-trivial", "40", ",".join(["0"] * 38 + ["1", "0"]), "--torus", "20,20"],
     # one mask of 2^40 - 1 bits, refused before it is allocated
     ["torus-trivial", "40", ",".join(["0"] * 38 + ["1", "0"]), "--torus", "40"],
-], ids=["element", "tori", "weights", "weights-11", "residues", "residues-wide"])
+], ids=["element", "element-picks", "tori", "weights", "weights-11", "residues", "residues-wide"])
 def test_work_limit_exceeded_exits_4(capsys, argv):
     started = time.perf_counter()
     assert cli_main(argv) == 4

@@ -234,6 +234,12 @@ def test_sweep_limit_enforced():
     ws = weight_set(fundamental(20, 1), IRR2)
     with pytest.raises(WorkLimitError):
         unisingular_on_torus(ws, TorusShape(((20, 1),)))
+    # 13,13,13: 8191 values times 13 pass the first charge, then 316 multisets
+    # taken 3 at a time make 5,259,030 picks of 39 coefficients, refused unbuilt
+    started = time.perf_counter()
+    with pytest.raises(WorkLimitError, match="form picks"):
+        unisingular_on_torus(weight_set(fundamental(39, 1), IRR2), parse_torus_label("13,13,13"))
+    assert time.perf_counter() - started < 2
 
 
 def test_sweep_limit_counts_rows():
@@ -245,6 +251,19 @@ def test_sweep_limit_counts_rows():
     assert time.perf_counter() - started < 2
     # both answers are those of the row-by-row sweep without its work limit
     assert unisingular_on_torus(weight_set(Weight((1,) + (0,) * 8 + (1,)), IRR2), parse_torus_label("-9,-1"))
+
+
+def test_form_picks_are_counted_before_they_are_built():
+    # -1^4: the multisets (0,) and (1,) taken 4 at a time, C(5, 4) = 5 picks
+    # times rank 4; -1^3,2: C(4, 3) * 2 picks times rank 5; the 3 and 13
+    # values times degrees charged first stay below
+    for blocks, size, forms in [([(1, 3)] * 4, 5 * 4, 5), ([(1, 3)] * 3 + [(2, 5)], 8 * 5, 8)]:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sp2n.arith, "WORK_LIMIT", size - 1)
+            with pytest.raises(WorkLimitError, match="form picks"):
+                zero_forms(blocks, units=False)
+            mp.setattr(sp2n.arith, "WORK_LIMIT", size)
+            assert len(zero_forms(blocks, units=False)) == forms
 
 
 def test_torus_forms_match_every_element():
