@@ -268,19 +268,24 @@ def check_element_vs_direct(max_n: int):
     """Closed-form per-element verdicts for top-coefficient weights against
     direct evaluation over every generator choice.  At each generator tuple
     the element's values are one linear form (`zero_form`), computed once
-    per rank; whether some weight of L(w) vanishes there is the cached
-    per-orbit zero test `zero_at`, which lists no member."""
+    per rank from `to_torus_element`; whether some weight of L(w) vanishes
+    there is the per-orbit zero test `zero_at`, which lists no member.  It
+    is a function of (ws, form) alone, and the tuples of a rank share few
+    forms (2^n of them at rank n), so each weight asks it once per distinct
+    form and every tuple is compared with the answer for its own form."""
     cases, failures = 0, []
     for n in range(1, max_n + 1):
         elements = [(g, [(us, zero_form(to_torus_element(g, us))) for us in generator_tuples(g)])
                     for g in enumerate_elements(n)]
+        distinct = {form for _, forms in elements for _, form in forms}
         for w in _restricted_top(n):
             ws = weight_set(w)
+            direct_at = {form: zero_at(ws, form) for form in distinct}
             for g, forms in elements:
                 fast = element_has_one(w, g).decision == YES
                 for us, form in forms:
                     cases += 1
-                    direct = zero_at(ws, form)
+                    direct = direct_at[form]
                     if fast != direct:
                         _fail(failures, f"n={n} w={w} g={g} u={us}", fast, direct)
     return cases, failures
@@ -419,7 +424,11 @@ SUITE_NAMES = list(_SUITES) + ["all"]
 
 
 def run_suite(name: str, max_n: int | None = None) -> SuiteReport:
-    """Run one named suite (or "all") up to the given rank cap."""
+    """Run one named suite (or "all") up to the given rank cap, at most the
+    suite's default cap.  A cap below 1 is a ValueError: it would check
+    nothing and still pass."""
+    if max_n is not None and max_n < 1:
+        raise ValueError(f"max_n must be at least 1, got {max_n}")
     started = time.perf_counter()
     if name == "all":
         cases, failures, notes, caps = 0, [], [], []

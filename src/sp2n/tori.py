@@ -154,10 +154,12 @@ _spent: ContextVar[int] = ContextVar("engine work spent")
 def residues(ws: WeightSet, shape: TorusShape) -> frozenset[tuple[int, ...]]:
     """The distinct tuples `block_sums(mu, shape)` over the weights mu of ws.
 
-    The engine charges the work it does as it runs, against one tally per
-    call: the mask words its passes hold and the codes its joins insert
-    (sub-results already cached cost nothing).  Raises WorkLimitError as
-    soon as the tally is more than WORK_LIMIT."""
+    th2 reads it on the one-block Singer torus; on several blocks it is the
+    reference the tests hold the zero kernel `_zero` against.  The engine
+    charges the work it does as it runs, against one tally per call: the
+    mask words its passes hold and the codes its joins insert (sub-results
+    already cached cost nothing).  Raises WorkLimitError as soon as the
+    tally is more than WORK_LIMIT."""
     if ws.rank != shape.rank:
         raise ValueError(f"rank mismatch: {ws.rank} vs {shape.rank}")
     orbits = tuple(to_eps(w).coords for w in ws.reps)
@@ -186,6 +188,8 @@ def _residue_codes(blocks: tuple[tuple[int, int], ...], orbits: tuple[tuple[int,
     filled position by position, keeping for each unplaced rest (a key) one
     o-bit mask of the residues reached; then each key is joined, at the set
     bits of its mask only, with the codes of its rest on the later blocks.
+    No runtime path reaches the join (th2 passes one block); it is kept as
+    the independent reference of `_zero`, which follows only residue 0.
 
     Charged as it runs: the passes as `_passes` charges them, and before
     each join its popcount(mask) * len(tail) set insertions."""

@@ -96,6 +96,14 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("suite, max_n", [("fr1", "0"), ("fr1", "-3"), ("all", "0")])
+def test_verify_cap_below_one_exits_2(capsys, suite, max_n):
+    assert cli_main(["verify", "--suite", suite, "--max-n", max_n]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == f"error: max_n must be at least 1, got {max_n}\n"
+
+
 _OMEGA_1_RANK_20 = ",".join(["1"] + ["0"] * 19)
 
 

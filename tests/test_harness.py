@@ -17,6 +17,15 @@ def test_unknown_suite():
         run_suite("nope")
 
 
+@pytest.mark.parametrize("name", ["fr1", "counterexamples", "all"])
+@pytest.mark.parametrize("max_n", [0, -3])
+def test_cap_below_one_is_refused(name, max_n):
+    # a cap below 1 would check nothing (or, for counterexamples, ignore
+    # the cap) and still report a pass
+    with pytest.raises(ValueError, match="at least 1"):
+        run_suite(name, max_n)
+
+
 def test_suite_names():
     assert set(SUITE_NAMES) == {
         "dominance", "si", "m22", "ee3", "s10", "th2", "ff2", "fr1", "th7",
@@ -132,6 +141,23 @@ def test_element_zero_test_keys_are_pinned(monkeypatch):
     assert keys == 758
 
 
+@pytest.mark.parametrize("cap, cases, calls", [(4, 1529, 170), (5, 10121, 682)])
+def test_element_oracle_asks_once_per_weight_and_form(cap, cases, calls, monkeypatch):
+    # the tuples of rank n share 2^n distinct forms, and each weight asks
+    # `zero_at` once for each of them, not once per generator tuple
+    asked = []
+    real = harness.zero_at
+
+    def counting_zero_at(ws, form):
+        asked.append((ws, form))
+        return real(ws, form)
+
+    monkeypatch.setattr(harness, "zero_at", counting_zero_at)
+    tori._zero.cache_clear()
+    assert harness.check_element_vs_direct(cap) == (cases, [])
+    assert len(asked) == len(set(asked)) == calls
+
+
 def test_element_fallback_keys_are_pinned(monkeypatch):
     # one fallback query: w_3 at 5:33:-;2:3:+ takes two distinct forms modulo 33
     w, g = fundamental(7, 3), parse_element("5:33:-;2:3:+")
@@ -149,6 +175,11 @@ def test_torus_sweep_keys_are_pinned(monkeypatch):
 def test_torus_sweeps_answer_at_rank_7():
     # fr1's sweep half one rank above the default cap, every shape included
     assert harness.check_unisingular_vs_sweeps(7) == (254, [])
+
+
+def test_element_oracle_answers_at_rank_6():
+    # fr1's element half two ranks above the default cap, every generator tuple included
+    assert harness.check_element_vs_direct(6) == (67433, [])
 
 
 def _value_by_blocks(mu, t):
