@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .elements import SemisimpleElement, has_eigenvalue_one_omega_n, singer_height_fast, singer_index_element
 from .reps import ModuleKind, twist_decompose, weight_set
 from .tori import TorusShape, singer_index, t_sharp, trivial_constituent, zero_at, zero_forms
-from .weights import Weight, delta, fundamental, gamma, is_radical, to_eps
+from .weights import Weight, delta, fundamental, gamma, is_radical
 
 YES = "yes"
 NO = "no"
@@ -151,7 +151,7 @@ def th7_blocks(w: Weight, block_sizes: list[int], kind: ModuleKind = ModuleKind.
         raise ValueError(f"blocks cover {sum(block_sizes)} coordinates, rank is {w.rank}")
     # an orbit has a weight nonzero on all s disjoint spans iff its weights have >= s nonzero coordinates
     s = len(block_sizes)
-    return all(sum(1 for c in to_eps(mu).coords if c) < s for mu in weight_set(w, kind).reps)
+    return all(len(m) - m.count(0) < s for m in weight_set(w, kind).orbits)
 
 
 def p88_guarantee(g: SemisimpleElement) -> bool:

@@ -12,27 +12,19 @@ the orbit of x* (x*_i = c_i - 1 if c_i else 1): over the weights y in
 {+-1}^n of L(w_n), |c_i - y_i| >= x*_i, with equality for some y.
 
 Each weight set is a union of Weyl orbits (Humphreys, Introduction to Lie
-Algebras and Representation Theory, 13.4), held by its dominant weights.
+Algebras and Representation Theory, 13.4), built as its orbits' sorted
+epsilon magnitudes.  As x*_i = c_i + 1 mod 2, the x* sum has the parity of
+delta(w - w_n), so the rule is that each prefix sum of the sorted x* is at
+most that of eps(w - w_n) = eps(w) - 1.
 """
 
 from enum import Enum
 from functools import lru_cache
+from itertools import accumulate
+from operator import add, le
 
 from .arith import charge
-from .weights import (
-    EpsWeight,
-    Weight,
-    WeightSet,
-    delta,
-    dominant_below,
-    dominant_representative,
-    dominates,
-    from_eps,
-    fundamental,
-    is_radical,
-    to_eps,
-    zero_weight,
-)
+from .weights import Weight, WeightSet, delta, is_radical, magnitudes, orbits_below, to_eps
 
 
 class ModuleKind(Enum):
@@ -61,26 +53,25 @@ def _validate(w: Weight, kind: ModuleKind) -> None:
 def _weight_set_cached(coeffs: tuple[int, ...], kind: ModuleKind) -> WeightSet:
     w = Weight(coeffs)
     if kind is ModuleKind.WEYL or coeffs[-1] == 0:
-        return WeightSet(w.rank, dominant_below(w))
-    lower = w - fundamental(w.rank, w.rank)  # a_n = 1: the x* rule of the module docstring
-    return WeightSet(w.rank, (mu for mu in dominant_below(w) if dominates(lower, dominant_representative(
-        EpsWeight(tuple(c - 1 if c else 1 for c in to_eps(mu).coords))))))
+        return WeightSet(w.rank, orbits_below(w))
+    bound = list(accumulate(c - 1 for c in to_eps(w).coords))  # a_n = 1: the x* rule of the module docstring
+    # mu is non-increasing, so its sorted x* is c - 1 for each c > 1, then 1 for each 0 and 0 for each 1
+    return WeightSet(w.rank, (mu for mu in orbits_below(w) if all(map(le, accumulate(
+        tuple(c - 1 for c in mu if c > 1) + (1,) * mu.count(0) + (0,) * mu.count(1)), bound))))
 
 
 def minkowski_sum(a: WeightSet, b: WeightSet) -> WeightSet:
     """{x + y : x in a, y in b}, the oracle of the a_n = 1 rule: both sets are
     Weyl-stable, so the sum is the union of the orbits of r + y over the
-    representatives r of one set and the members y of the other, whichever
-    gives fewer pairs; raises WorkLimitError first if that is over WORK_LIMIT."""
+    orbits r of one set and the members y of the other, whichever gives
+    fewer pairs; raises WorkLimitError first if that is over WORK_LIMIT."""
     if a.rank != b.rank:
         raise ValueError(f"rank mismatch: {a.rank} vs {b.rank}")
-    if len(a.reps) * len(b) > len(b.reps) * len(a):
+    if len(a.orbits) * len(b) > len(b.orbits) * len(a):
         a, b = b, a
-    charge(len(a.reps) * len(b), "pairs of a Minkowski sum")
-    members = list(b.member_coords())  # read once, not once per representative
-    sums = {tuple(sorted((abs(x + y) for x, y in zip(rc, m)), reverse=True))
-            for rc in [to_eps(r).coords for r in a.reps] for m in members}
-    return WeightSet(a.rank, (from_eps(EpsWeight(c)) for c in sums))
+    charge(len(a.orbits) * len(b), "pairs of a Minkowski sum")
+    members = list(b.member_coords())  # read once, not once per orbit
+    return WeightSet(a.rank, {magnitudes(map(add, r, m)) for r in a.orbits for m in members})
 
 
 def has_zero_weight(w: Weight, kind: ModuleKind = ModuleKind.IRREDUCIBLE_2) -> bool:
@@ -125,7 +116,7 @@ def g_effective_weight_set(w: Weight) -> WeightSet:
     """
     if not w.is_dominant():
         raise ValueError(f"{w} is not dominant")
-    acc = WeightSet(w.rank, (zero_weight(w.rank),))
+    acc = WeightSet(w.rank, ((0,) * w.rank,))
     for _, mu in twist_decompose(w):
         acc = minkowski_sum(acc, weight_set(mu, ModuleKind.IRREDUCIBLE_2))
     return acc
@@ -133,5 +124,5 @@ def g_effective_weight_set(w: Weight) -> WeightSet:
 
 def zero_in_weight_set(w: Weight, kind: ModuleKind = ModuleKind.IRREDUCIBLE_2) -> bool:
     """Exact membership of the zero weight: the zero orbit is one of the
-    representatives of the weight set."""
-    return zero_weight(w.rank) in weight_set(w, kind).reps
+    orbits of the weight set."""
+    return (0,) * w.rank in weight_set(w, kind).orbits

@@ -29,7 +29,7 @@ from math import comb, gcd, lcm, prod
 from operator import mul
 
 from .arith import charge, partition_counts, partitions_under, totient
-from .weights import EpsWeight, WeightSet, to_eps
+from .weights import EpsWeight, WeightSet
 
 
 def block_key(block: tuple[int, ...]) -> tuple[int, int]:
@@ -162,10 +162,9 @@ def residues(ws: WeightSet, shape: TorusShape) -> frozenset[tuple[int, ...]]:
     tally is more than WORK_LIMIT."""
     if ws.rank != shape.rank:
         raise ValueError(f"rank mismatch: {ws.rank} vs {shape.rank}")
-    orbits = tuple(to_eps(w).coords for w in ws.reps)
     token = _spent.set(0)
     try:
-        codes = _residue_codes(shape.blocks, orbits)
+        codes = _residue_codes(shape.blocks, ws.orbits)
     finally:
         _spent.reset(token)
     orders = factor_orders(shape)
@@ -255,7 +254,7 @@ def _zero_in(ws: WeightSet, forms: tuple[tuple[int, tuple[int, ...]], ...]) -> b
     against one work tally per call."""
     token = _spent.set(0)
     try:
-        return any(_zero(forms, to_eps(w).coords) for w in ws.reps)
+        return any(_zero(forms, orbit) for orbit in ws.orbits)
     finally:
         _spent.reset(token)
 

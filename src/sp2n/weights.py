@@ -14,15 +14,16 @@ table of the states that passed it, so a search stops at the first state
 an earlier search has settled.
 Dominant weights are generated, never filtered: in epsilon coordinates they
 are the partitions `arith.partitions_under` lists under prefix-sum bounds.
+A `WeightSet` holds each Weyl orbit as such a partition: its sorted magnitudes.
 """
 
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from math import factorial
-from operator import sub
+from math import factorial, prod
+from operator import lt, sub
 
 from .arith import charge, partitions_under
 
@@ -95,37 +96,38 @@ class EpsWeight:
 
 @dataclass(frozen=True)
 class WeightSet:
-    """A finite union of Weyl orbits (signed permutations of epsilon
-    coordinates) of one rank, held by the orbits' dominant weights sorted by
-    coefficient string.  Size and membership are answered per orbit; the
-    epsilon-basis members are generated only on request (`member_coords`,
-    iteration) and held nowhere."""
+    """A finite union of Weyl orbits (signed permutations of epsilon coordinates)
+    of one rank, each held by its sorted magnitudes (the epsilon coordinates of its
+    dominant weight), in coefficient-string order.  Size and membership are answered
+    per orbit; the members are generated only on request and held nowhere."""
 
     rank: int
-    reps: tuple[Weight, ...]
+    orbits: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        reps = frozenset(self.reps)
-        for w in reps:
-            if w.rank != self.rank or not w.is_dominant():
-                raise ValueError(f"{w} is not a dominant weight of rank {self.rank}")
-        object.__setattr__(self, "reps", tuple(sorted(reps, key=lambda w: w.coeffs)))
+        orbits = frozenset(map(tuple, self.orbits))
+        for m in orbits:
+            if len(m) != self.rank or not m or m[-1] < 0 or any(map(lt, m, m[1:])):
+                raise ValueError(f"{m} are not the sorted magnitudes of a weight of rank {self.rank}")
+        object.__setattr__(self, "orbits", tuple(sorted(orbits, key=_coeffs)))
+
+    @property
+    def reps(self) -> tuple[Weight, ...]:  # the orbits' dominant weights, for display
+        return tuple(Weight(_coeffs(m)) for m in self.orbits)
 
     def __len__(self) -> int:
-        return sum(_orbit_size(to_eps(w).coords) for w in self.reps)
+        return sum(map(_orbit_size, self.orbits))
 
     def __iter__(self) -> Iterator[EpsWeight]:
         return map(EpsWeight, self.member_coords())
 
     def __contains__(self, item) -> bool:
-        return (isinstance(item, EpsWeight) and item.rank == self.rank
-                and dominant_representative(item) in self.reps)
+        return isinstance(item, EpsWeight) and item.rank == self.rank and magnitudes(item.coords) in self.orbits
 
     def member_coords(self) -> Iterator[tuple[int, ...]]:
-        """The epsilon coordinates of every weight, orbit by orbit, generated
-        as they are consumed and kept nowhere."""
-        for w in self.reps:
-            yield from _arrangements(to_eps(w).coords)
+        """Every weight's epsilon coordinates, orbit by orbit, generated as consumed and kept nowhere."""
+        for m in self.orbits:
+            yield from _arrangements(m)
 
 
 def _same_rank(a, b) -> None:
@@ -163,7 +165,16 @@ def to_eps(w: Weight) -> EpsWeight:
 
 def from_eps(e: EpsWeight) -> Weight:
     """Inverse change of basis: a_i = c_i - c_{i+1} with c_{n+1} = 0."""
-    return Weight(tuple(map(sub, e.coords, e.coords[1:] + (0,))))
+    return Weight(_coeffs(e.coords))
+
+
+def _coeffs(coords: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(sub, coords, coords[1:] + (0,)))
+
+
+def magnitudes(coords: Iterable[int]) -> tuple[int, ...]:
+    """The absolute values, largest first: the epsilon coordinates of the orbit's dominant weight."""
+    return tuple(sorted(map(abs, coords), reverse=True))
 
 
 def delta(w: Weight) -> int:
@@ -288,34 +299,33 @@ def dominant_weights_up_to(rank: int, max_delta: int) -> list[Weight]:
     return sorted((from_eps(EpsWeight(mu)) for mu in partitions_under((max_delta,) * rank)), key=lambda w: w.coeffs)
 
 
-def dominant_below(w: Weight) -> frozenset[Weight]:
-    """All dominant weights mu with dominates(w, mu), including w itself.
-
-    Generated: the partitions under the prefix sums of eps(w) with the parity of delta(w).
-    """
+def orbits_below(w: Weight) -> Iterator[tuple[int, ...]]:
+    """The epsilon coordinates of every dominant mu with dominates(w, mu), w included, generated:
+    the partitions under the prefix sums of eps(w) with the parity of delta(w)."""
     if not w.is_dominant():
         raise ValueError(f"{w} is not dominant")
     parity = delta(w) % 2
-    return frozenset(from_eps(EpsWeight(mu)) for mu in partitions_under(list(accumulate(to_eps(w).coords)))
-                     if sum(mu) % 2 == parity)
+    return (mu for mu in partitions_under(list(accumulate(to_eps(w).coords))) if sum(mu) % 2 == parity)
+
+
+def dominant_below(w: Weight) -> frozenset[Weight]:
+    """All dominant weights mu with dominates(w, mu), including w itself."""
+    return frozenset(Weight(_coeffs(mu)) for mu in orbits_below(w))
 
 
 def weyl_orbit(e: EpsWeight) -> WeightSet:
     """The orbit of e under coordinate permutations and sign flips."""
-    return WeightSet(e.rank, (dominant_representative(e),))
+    return WeightSet(e.rank, (magnitudes(e.coords),))
 
 
 def dominant_representative(e: EpsWeight) -> Weight:
     """The unique dominant weight in the orbit of e under permutations and sign flips."""
-    return from_eps(EpsWeight(tuple(sorted((abs(c) for c in e.coords), reverse=True))))
+    return Weight(_coeffs(magnitudes(e.coords)))
 
 
-def _orbit_size(coords: tuple[int, ...]) -> int:
-    """2^(nonzero coordinates) * n! / prod(m_i!) over the multiplicities m_i of the magnitudes."""
-    size = 2 ** sum(1 for c in coords if c) * factorial(len(coords))
-    for m in Counter(abs(c) for c in coords).values():
-        size //= factorial(m)
-    return size
+def _orbit_size(mags: tuple[int, ...]) -> int:
+    """2^(nonzero magnitudes) * n! / prod(m_i!) over the multiplicities m_i of the magnitudes."""
+    return 2 ** (len(mags) - mags.count(0)) * factorial(len(mags)) // prod(map(factorial, Counter(mags).values()))
 
 
 def _arrangements(mags: tuple[int, ...]):

@@ -20,10 +20,16 @@ def test_unknown_suite():
 @pytest.mark.parametrize("name", ["fr1", "counterexamples", "all"])
 @pytest.mark.parametrize("max_n", [0, -3])
 def test_cap_below_one_is_refused(name, max_n):
-    # a cap below 1 would check nothing (or, for counterexamples, ignore
-    # the cap) and still report a pass
+    # a cap below 1 would check nothing and still report a pass
     with pytest.raises(ValueError, match="at least 1"):
         run_suite(name, max_n)
+
+
+@pytest.mark.parametrize(("max_n", "cases"), [(1, 0), (2, 6), (3, 8), (6, 8)])
+def test_counterexamples_keep_their_cap(max_n, cases):
+    # six cases live at rank 2 and two at rank 3
+    report = run_suite("counterexamples", max_n)
+    assert (report.max_n, report.cases, report.passed) == (max_n, cases, True)
 
 
 def test_suite_names():
@@ -241,4 +247,4 @@ def test_element_oracle_caches_no_members():
             # (built here: the a_n = 1 rule never builds them) hold their
             # fields and nothing else
             for ws in (reps.weight_set(w), reps.weight_set(w - fundamental(n, n))):
-                assert set(ws.__dict__) == {"rank", "reps"}, w
+                assert set(ws.__dict__) == {"rank", "orbits"}, w

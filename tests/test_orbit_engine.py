@@ -154,15 +154,29 @@ def test_orbit_sets_match_listed_sets_rank5(module):
 
 
 def test_weight_set_holds_dominant_representatives():
-    ws = WeightSet(2, [Weight((0, 1)), Weight((1, 0)), Weight((0, 1))])
+    ws = WeightSet(2, [(1, 0), (1, 1), (1, 0)])
+    assert ws.orbits == ((1, 1), (1, 0))  # by coefficient string: 0,1 before 1,0
     assert ws.reps == (Weight((0, 1)), Weight((1, 0)))
     assert len(ws) == 4 + 4
     assert EpsWeight((0, -1)) in ws and EpsWeight((2, 0)) not in ws
-    assert len(list(ws)) == 8 and set(ws.__dict__) == {"rank", "reps"}  # iteration streams, keeps nothing
-    with pytest.raises(ValueError):
-        WeightSet(2, [Weight((1, -1))])
-    with pytest.raises(ValueError):
-        WeightSet(2, [Weight((1, 0, 0))])
+    assert len(list(ws)) == 8 and set(ws.__dict__) == {"rank", "orbits"}  # iteration streams, keeps nothing
+    for bad in ((0, 1), (1, -1), (1, 0, 0), (1,)):  # increasing, negative, wrong lengths
+        with pytest.raises(ValueError):
+            WeightSet(2, [bad])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.lists(st.integers(0, 3), min_size=n, max_size=n).map(lambda m: tuple(sorted(m, reverse=True))),
+    min_size=1, max_size=6))))
+def test_orbits_run_in_coefficient_string_order(inputs):
+    # the order of the orbits fixes which orbit the zero tests place first
+    n, orbits = inputs
+    ws = WeightSet(n, orbits)
+    keys = [r.coeffs for r in ws.reps]
+    assert keys == sorted(set(keys)) and set(ws.orbits) == set(orbits)
+    assert ws.orbits == tuple(to_eps(r).coords for r in ws.reps)
+    assert WeightSet(n, [to_eps(r).coords for r in ws.reps]) == ws
 
 
 def _ref_place(states, j, o):
@@ -196,7 +210,7 @@ def _ref_codes(blocks, mags):
 def _ref_residues(ws, shape):
     orders = [2**k - s for k, s in shape.blocks]
     strides = [prod(orders[i + 1:]) for i in range(len(orders))]
-    codes = set().union(*(_ref_codes(shape.blocks, to_eps(w).coords) for w in ws.reps))
+    codes = set().union(*(_ref_codes(shape.blocks, m) for m in ws.orbits))
     return {tuple(c // st % o for st, o in zip(strides, orders)) for c in codes}
 
 
@@ -216,7 +230,7 @@ def _engine_inputs(draw):
 @example((TorusShape(((2, 1), (2, -1), (1, 1), (1, -1))), [(2, 2, 1, 1, 0, 0), (1, 1, 1, 1, 1, 1)]))
 def test_bitset_engine_matches_set_engine(inputs):
     shape, orbits = inputs
-    ws = WeightSet(shape.rank, [from_eps(EpsWeight(m)) for m in orbits])
+    ws = WeightSet(shape.rank, orbits)
     assert residues(ws, shape) == _ref_residues(ws, shape)
 
 

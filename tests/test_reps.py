@@ -19,9 +19,9 @@ from sp2n.weights import (
     Weight,
     WeightSet,
     delta,
-    dominant_representative,
     dominates,
     fundamental,
+    magnitudes,
     to_eps,
     weyl_orbit,
     zero_weight,
@@ -67,7 +67,7 @@ def test_weight_set_validation():
 def test_minkowski_examples():
     a = weyl_orbit(to_eps(fundamental(2, 1)))
     b = weyl_orbit(to_eps(fundamental(2, 2)))
-    zero = WeightSet(2, (zero_weight(2),))
+    zero = WeightSet(2, ((0, 0),))
     assert frozenset(minkowski_sum(zero, a)) == frozenset(a)
     assert frozenset(minkowski_sum(a, b)) == TWELVE
     assert frozenset(minkowski_sum(a, b)) == frozenset(minkowski_sum(b, a))
@@ -79,7 +79,7 @@ def _orbit_unions(n):
     # a weight set is a union of orbits: draw vectors, keep their orbits
     vec = st.tuples(*([st.integers(-2, 2)] * n))
     return st.frozensets(vec.map(EpsWeight), min_size=1, max_size=4).map(
-        lambda ms: WeightSet(n, {dominant_representative(m) for m in ms})
+        lambda ms: WeightSet(n, {magnitudes(m.coords) for m in ms})
     )
 
 
@@ -200,6 +200,23 @@ def test_top_weight_sets_build_without_minkowski_sums(monkeypatch):
     sp2n.reps._weight_set_cached.cache_clear()
     for w in _top_restricted(7):
         assert weight_set(w, IRR2).reps, w
+
+
+def test_top_weight_sets_build_one_weight_each(monkeypatch):
+    # a work pin: the build filters epsilon tuples, and its highest weight is
+    # the one Weight it makes (a per-candidate conversion would make thousands)
+    tops = [Weight(bits + (1,)) for bits in product((0, 1), repeat=5)]
+    made, real = [], Weight.__post_init__
+
+    def counted(self):
+        made.append(self.coeffs)
+        real(self)
+
+    sp2n.reps._weight_set_cached.cache_clear()
+    monkeypatch.setattr(Weight, "__post_init__", counted)
+    for w in tops:
+        assert len(weight_set(w, IRR2)) > 0, w
+    assert len(made) <= len(tops), made[:3]
 
 
 def test_zero_weight_three_way_equivalence():
