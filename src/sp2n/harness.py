@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations, product
 from math import gcd
-from operator import mul
+from operator import mul, sub
 
 from .branching import (
     eps_restrict,
@@ -38,12 +38,11 @@ from .elements import (
     singer_height_fast,
     to_torus_element,
 )
-from .reps import ModuleKind, has_zero_weight, minkowski_sum, twist_decompose, weight_set, zero_in_weight_set
+from .reps import ModuleKind, has_zero_weight, minkowski_sum, weight_set, zero_in_weight_set
 from .tori import (
     TorusShape,
     block_sums,
     enumerate_shapes,
-    eval_coefficients,
     factor_orders,
     residues,
     singer_shape,
@@ -116,14 +115,22 @@ def _restricted_top(n: int):
 
 
 def _suite_dominance(max_n: int):
+    """Every pair of the pool against the search.  The search starts from
+    eps(hi) - eps(lo) = eps(hi - lo), so its answer depends on the
+    coefficient difference only: it runs once per distinct difference of a
+    rank, and every pair is compared with the answer for its own."""
     cases, failures = 0, []
     for n in range(1, max_n + 1):
         pool = dominant_weights_up_to(n, DOMINANCE_DELTA_CAP)
+        searched = {}  # hi.coeffs - lo.coeffs -> dominates_oracle(hi, lo)
         for hi in pool:
             for lo in pool:
                 cases += 1
                 fast = dominates(hi, lo)
-                slow = dominates_oracle(hi, lo)
+                diff = tuple(map(sub, hi.coeffs, lo.coeffs))
+                slow = searched.get(diff)
+                if slow is None:
+                    slow = searched[diff] = dominates_oracle(hi, lo)
                 if fast != slow:
                     _fail(failures, f"n={n} hi={hi} lo={lo}", fast, slow)
     return cases, failures, []
@@ -219,46 +226,52 @@ def _suite_s10(max_n: int):
     return cases, failures, []
 
 
-def _zero_in_sumset(sets: list[set[int]], o: int) -> bool:
-    """Whether 0 = r_1 + ... + r_k modulo o for some r_i in sets[i] (the empty sum is 0)."""
-    acc = {0}
-    for values in sets[:-1]:
-        acc = {(a + r) % o for a in acc for r in values}
-    return not sets or any(-a % o in sets[-1] for a in acc)
-
-
 def _suite_th2(max_n: int):
+    """The closed form against direct evaluation at a generator of the Singer
+    torus: w = low + 2 * high with restricted low and high, and as Frobenius
+    twists act trivially, 1 is an eigenvalue iff r + s = 0 modulo 2^n + 1 for
+    residues r of L(low) and s of L(high).  Each restricted mu's residues are
+    one bit mask (the zero weight's is 1), so the test is one AND with the
+    high part's mask negated."""
     cases, failures = 0, []
     for n in range(1, max_n + 1):
-        shape = singer_shape(n)
-        values = {}  # restricted twist component -> residues of its weights mod 2^n + 1
+        shape, o = singer_shape(n), 2**n + 1
+        masks, negated = {(0,) * n: 1}, {(0,) * n: 1}  # restricted mu -> its residues, and their negatives
         for coeffs in product(range(4), repeat=n):
             w = Weight(coeffs)
             cases += 1
             fast = singer_cycle_has_one(w)
-            # direct evaluation at a generator: residue 0 summed over twist components
-            comps = [mu for _, mu in twist_decompose(w)]
-            for mu in comps:
-                if mu not in values:
-                    values[mu] = {r for (r,) in residues(weight_set(mu), shape)}
-            oracle = _zero_in_sumset([values[mu] for mu in comps], 2**n + 1)
+            low, high = tuple(a & 1 for a in coeffs), tuple(a >> 1 for a in coeffs)
+            for mu in (low, high):
+                if mu not in masks:
+                    found = residues(weight_set(Weight(mu)), shape)
+                    masks[mu] = sum(1 << r for (r,) in found)
+                    negated[mu] = sum(1 << -r % o for (r,) in found)
+            oracle = masks[low] & negated[high] != 0
             if fast != oracle:
                 _fail(failures, f"n={n} w={w}", fast, oracle)
     return cases, failures, []
 
 
 def _suite_ff2(max_n: int):
+    """The predicted eigenvalue orders of L(w_n) at each element against the
+    orders realized over the w_n orbit at every generator tuple.  Those
+    orders m / gcd(m, c . v) depend on the tuple's canonical form (m, c)
+    only, as the orbit of all sign vectors v absorbs its signs and order,
+    so they are computed once per distinct form of a rank."""
     cases, failures = 0, []
     for n in range(1, max_n + 1):
         orbit = list(weyl_orbit(to_eps(fundamental(n, n))).member_coords())
+        realized_at = {}  # canonical form -> the orders realized over the orbit
         for g in enumerate_elements(n):
-            if g.order > 10**4:
-                continue
             predicted = omega_n_eigenvalue_orders(g)
             for us in generator_tuples(g):
                 cases += 1
-                L, c = eval_coefficients(to_torus_element(g, us))
-                realized = frozenset(L // gcd(L, sum(map(mul, c, v))) for v in orbit)
+                form = zero_form(to_torus_element(g, us))
+                realized = realized_at.get(form)
+                if realized is None:
+                    m, c = form
+                    realized = realized_at[form] = frozenset(m // gcd(m, sum(map(mul, c, v))) for v in orbit)
                 if realized != predicted:
                     _fail(failures, f"n={n} g={g} u={us}", sorted(predicted), sorted(realized))
     return cases, failures, []
@@ -424,30 +437,38 @@ _SUITES = {
     "counterexamples": (_suite_counterexamples, 6),
 }
 
+# the suites whose lowest ranks hold no case: below this cap they would check nothing
+_LOWEST_CAP = {"branching": 2, "counterexamples": 2}
+
 SUITE_NAMES = list(_SUITES) + ["all"]
 
 
 def run_suite(name: str, max_n: int | None = None) -> SuiteReport:
     """Run one named suite (or "all") up to the given rank cap, at most the
-    suite's default cap.  A cap below 1 is a ValueError: it would check
-    nothing and still pass."""
+    suite's default cap.  A cap below 1, or below the lowest rank at which
+    the suite (any suite, for "all") has a case, is a ValueError: it would
+    check nothing and still pass."""
     if max_n is not None and max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {max_n}")
+    if name not in SUITE_NAMES:
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    empty = [suite for suite in (_SUITES if name == "all" else (name,))
+             if max_n is not None and max_n < _LOWEST_CAP.get(suite, 1)]
+    if empty:
+        raise ValueError(f"max_n {max_n} leaves {' and '.join(empty)} no case to check; "
+                         f"it must be at least {max(_LOWEST_CAP[suite] for suite in empty)}")
     started = time.perf_counter()
     if name == "all":
         cases, failures, notes, caps = 0, [], [], []
-        for sub in _SUITES:
-            rep = run_suite(sub, max_n)
+        for suite in _SUITES:
+            rep = run_suite(suite, max_n)
             cases += rep.cases
             caps.append(rep.max_n)
-            failures.extend({**f, "input": f"{sub}: {f['input']}"} for f in rep.failures)
-            notes.extend(f"{sub}: {note}" for note in rep.notes)
+            failures.extend({**f, "input": f"{suite}: {f['input']}"} for f in rep.failures)
+            notes.extend(f"{suite}: {note}" for note in rep.notes)
         return SuiteReport("all", max(caps), cases, failures, notes,
                            time.perf_counter() - started)
-    if name not in _SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     fn, default_cap = _SUITES[name]
     cap = default_cap if max_n is None else min(default_cap, max_n)
     cases, failures, notes = fn(cap)
     return SuiteReport(name, cap, cases, failures, notes, time.perf_counter() - started)
-

@@ -94,16 +94,8 @@ def twist_decompose(w: Weight) -> list[tuple[int, Weight]]:
     """
     if not w.is_dominant():
         raise ValueError(f"{w} is not dominant")
-    out: list[tuple[int, Weight]] = []
-    rest = list(w.coeffs)
-    level = 0
-    while any(rest):
-        bits = tuple(a & 1 for a in rest)
-        if any(bits):
-            out.append((level, Weight(bits)))
-        rest = [a >> 1 for a in rest]
-        level += 1
-    return out
+    levels = (tuple(a >> level & 1 for a in w.coeffs) for level in range(max(w.coeffs).bit_length()))
+    return [(level, Weight(bits)) for level, bits in enumerate(levels) if any(bits)]
 
 
 def g_effective_weight_set(w: Weight) -> WeightSet:

@@ -195,23 +195,22 @@ def is_radical(w: Weight) -> bool:
 def dominates(hi: Weight, lo: Weight) -> bool:
     """True when hi - lo is a nonnegative integer combination of simple roots.
 
-    Closed form on the coefficient differences d_k = hi_k - lo_k: the
-    multiplicity of the i-th short simple root is
-    d_1 + 2 d_2 + ... + i d_i + i (d_{i+1} + ... + d_n) (the i-th prefix sum
-    of the epsilon coordinates) and that of the long root is half of
-    delta(hi) - delta(lo); all must be nonnegative integers.
+    Closed form on the coefficient differences d_k = hi_k - lo_k, in one
+    pass: the multiplicity of the i-th short simple root is the prefix sum
+    P_i = P_{i-1} + e_i of the epsilon coordinates e_i = d_i + ... + d_n,
+    and that of the long root is P_n / 2 (half of delta(hi) - delta(lo));
+    all must be nonnegative integers.
     """
-    _same_rank(hi, lo)
-    d = [a - b for a, b in zip(hi.coeffs, lo.coeffs)]
-    rest = sum(d)  # d_{i+1} + ... + d_n, once d_i is taken off
-    partial = 0  # d_1 + 2 d_2 + ... + i d_i
-    for i, x in enumerate(d[:-1], start=1):
-        rest -= x
-        partial += i * x
-        if partial + i * rest < 0:
+    if len(hi.coeffs) != len(lo.coeffs):
+        _same_rank(hi, lo)
+    e = sum(hi.coeffs) - sum(lo.coeffs)  # e_1
+    p = 0
+    for a, b in zip(hi.coeffs, lo.coeffs):
+        p += e
+        if p < 0:
             return False
-    total = partial + len(d) * d[-1]
-    return total >= 0 and total % 2 == 0
+        e -= a - b
+    return p % 2 == 0
 
 
 # States of the subtraction search that passed its pruning rule, mapped to
@@ -262,7 +261,8 @@ def dominates_oracle(hi: Weight, lo: Weight) -> bool:
     sums P_i of the start state, and raises WorkLimitError before it starts
     when that is more than WORK_LIMIT.
     """
-    _same_rank(hi, lo)
+    if len(hi.coeffs) != len(lo.coeffs):
+        _same_rank(hi, lo)
     start = tuple(accumulate(map(sub, reversed(hi.coeffs), reversed(lo.coeffs))))[::-1]
     if not _oracle_viable(start):
         return False

@@ -104,6 +104,14 @@ def test_verify_cap_below_one_exits_2(capsys, suite, max_n):
     assert captured.err == f"error: max_n must be at least 1, got {max_n}\n"
 
 
+@pytest.mark.parametrize("suite", ["branching", "counterexamples", "all"])
+def test_verify_cap_with_no_case_exits_2(capsys, suite):
+    assert cli_main(["verify", "--suite", suite, "--max-n", "1"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith("error: max_n 1 leaves ") and "no case to check" in captured.err
+
+
 _OMEGA_1_RANK_20 = ",".join(["1"] + ["0"] * 19)
 
 

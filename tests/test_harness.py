@@ -25,11 +25,18 @@ def test_cap_below_one_is_refused(name, max_n):
         run_suite(name, max_n)
 
 
-@pytest.mark.parametrize(("max_n", "cases"), [(1, 0), (2, 6), (3, 8), (6, 8)])
+@pytest.mark.parametrize(("max_n", "cases"), [(2, 6), (3, 8), (6, 8)])
 def test_counterexamples_keep_their_cap(max_n, cases):
     # six cases live at rank 2 and two at rank 3
     report = run_suite("counterexamples", max_n)
     assert (report.max_n, report.cases, report.passed) == (max_n, cases, True)
+
+
+@pytest.mark.parametrize("name", ["branching", "counterexamples", "all"])
+def test_cap_that_leaves_a_suite_no_case_is_refused(name):
+    # branching and counterexamples have no case at rank 1, and "all" runs them
+    with pytest.raises(ValueError, match="no case to check; it must be at least 2"):
+        run_suite(name, 1)
 
 
 def test_suite_names():
@@ -107,6 +114,23 @@ def test_dominance_search_work_is_pinned():
     assert len(weights._ORACLE_TABLE) == 3303
 
 
+def test_dominance_searches_once_per_difference(monkeypatch):
+    # the search starts from eps(hi - lo), so the suite's pairs share one
+    # search per distinct coefficient difference of a rank
+    calls = 0
+    search = harness.dominates_oracle
+
+    def counting_search(hi, lo):
+        nonlocal calls
+        calls += 1
+        return search(hi, lo)
+
+    monkeypatch.setattr(harness, "dominates_oracle", counting_search)
+    rep = run_suite("dominance")
+    assert rep.cases == 75808 and rep.passed
+    assert calls == 10961
+
+
 def _place_keys(call, monkeypatch):
     """call() and the number of keys the passes of `_place` create for it
     from cold engine caches."""
@@ -131,6 +155,36 @@ def test_th2_residue_keys_are_pinned(monkeypatch):
     rep, keys = _place_keys(lambda: run_suite("th2"), monkeypatch)
     assert rep.cases == 5460 and rep.passed
     assert keys == 10181
+
+
+def test_th2_answers_one_rank_past_its_cap():
+    assert harness._suite_th2(7) == (21844, [], [])
+
+
+def test_ff2_answers_two_ranks_past_its_cap():
+    assert harness._suite_ff2(6) == (2554, [], [])
+
+
+def test_th2_oracle_reports_a_flipped_verdict(monkeypatch):
+    # flip the closed form on one weight: the mask oracle must disagree there only
+    w = Weight((2, 0))
+    real = harness.singer_cycle_has_one
+    monkeypatch.setattr(harness, "singer_cycle_has_one", lambda v: real(v) != (v == w))
+    cases, failures, _ = harness._suite_th2(2)
+    assert cases == 20
+    assert failures == [{"input": f"n=2 w={w}", "fast": str(not real(w)), "oracle": str(real(w))}]
+
+
+def test_ff2_oracle_reports_every_tuple_of_a_wrong_prediction(monkeypatch):
+    # a wrong prediction at one element gives one record per generator tuple,
+    # each with its own input, although the tuples share their canonical forms
+    g = build_element([(2, 5, -1), (1, 3, -1)])
+    real = harness.omega_n_eigenvalue_orders
+    monkeypatch.setattr(harness, "omega_n_eigenvalue_orders", lambda h: real(h) | {7} if h == g else real(h))
+    _, failures, _ = harness._suite_ff2(3)
+    tuples = list(generator_tuples(g))
+    assert len(failures) == len(tuples) > 1
+    assert [f["input"] for f in failures] == [f"n=3 g={g} u={us}" for us in tuples]
 
 
 @pytest.mark.parametrize("name, cases, pinned", [("ee3", 30, 934), ("s10", 212, 960)])

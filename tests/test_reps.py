@@ -133,6 +133,19 @@ def test_twist_decompose_reconstructs():
         assert acc == w
 
 
+@given(st.lists(st.integers(0, 2**12), min_size=1, max_size=8))
+def test_twist_decompose_levels_rebuild_the_weight(coeffs):
+    w = Weight(coeffs)
+    parts = twist_decompose(w)
+    levels = [level for level, _ in parts]
+    assert levels == sorted(set(levels))
+    assert all(mu.rank == w.rank and mu.is_restricted() and not mu.is_zero() for _, mu in parts)
+    acc = zero_weight(w.rank)
+    for level, mu in parts:
+        acc = acc + (2**level) * mu
+    assert acc == w
+
+
 def test_g_effective_examples():
     assert frozenset(g_effective_weight_set(Weight((0, 2)))) == frozenset(weight_set(fundamental(2, 2)))
     assert frozenset(g_effective_weight_set(Weight((1, 1)))) == TWELVE

@@ -110,6 +110,17 @@ def test_dominates_agrees_with_search_oracle():
                 assert dominates(hi, lo) == dominates_oracle(hi, lo), (hi, lo)
 
 
+_coefficient_pairs = st.integers(1, 8).flatmap(lambda n: st.tuples(*[st.tuples(*[st.integers(0, 6)] * n)] * 2))
+
+
+@settings(deadline=None)
+@given(_coefficient_pairs)
+def test_dominates_matches_search_past_the_suite_cap(pair):
+    # coefficients up to 6 at rank up to 8: delta up to 216, past the suite's cap of 12
+    hi, lo = map(Weight, pair)
+    assert dominates(hi, lo) == dominates_oracle(hi, lo)
+
+
 def test_dominates_oracle_long_chain():
     # 5,000 subtractions of the long root, on an explicit stack
     assert dominates_oracle(Weight((10000,)), zero_weight(1))
