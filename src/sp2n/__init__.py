@@ -67,8 +67,6 @@ from .tori import (
     eval_weight,
     occurs_in_omega_n,
     parse_torus_label,
-    residues,
-    restricts_trivially,
     singer_index,
     singer_shape,
     t_sharp,

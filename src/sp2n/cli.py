@@ -6,11 +6,11 @@ cannot factor), 3 suite failure, 4 work limit exceeded: a count passed
 to arith.charge is more than arith.WORK_LIMIT = 10^6, either the steps an
 enumeration sized by the input would take (torus classes, partitions
 under the dominant-weight bounds, which bound every weight set, the
-height of a dominance search, generator tuples times residue rows of a
-direct evaluation, or the weight coefficients `branch --N` would print:
-n for each exterior power's factor, about N^3/16 in all) or the running
-tally of the mask words held and codes inserted by the residue engine,
-or of the mask words held by the zero kernel behind `torus-trivial`.
+height of a dominance search, the block coefficients and the form picks
+of the direct evaluation behind `element`, or the weight coefficients
+`branch --N` would print: n for each exterior power's factor, about
+N^3/16 in all) or the running tally of the mask words held by the zero
+kernel behind `torus-trivial` and `element`.
 """
 
 import argparse
@@ -155,7 +155,11 @@ def _cmd_element(args) -> int:
 
 
 def _cmd_branch(args) -> int:
-    lam = LinearWeight(tuple(int(p) for p in args.lam.split(",")))
+    try:
+        coeffs = tuple(int(p) for p in args.lam.split(","))
+    except ValueError as exc:
+        raise ValueError(f"cannot parse lambda {args.lam!r}") from exc
+    lam = LinearWeight(coeffs)
     if lam.ambient != args.N:
         raise ValueError(f"lambda {args.lam!r} has ambient size {lam.ambient}, expected {args.N}")
     n = args.N // 2

@@ -44,10 +44,10 @@ from .tori import (
     block_sums,
     enumerate_shapes,
     factor_orders,
-    residues,
     singer_shape,
     trivial_constituent,
     unisingular_on_torus,
+    value_mask,
     zero_at,
     zero_form,
 )
@@ -229,13 +229,15 @@ def _suite_s10(max_n: int):
 def _suite_th2(max_n: int):
     """The closed form against direct evaluation at a generator of the Singer
     torus: w = low + 2 * high with restricted low and high, and as Frobenius
-    twists act trivially, 1 is an eigenvalue iff r + s = 0 modulo 2^n + 1 for
-    residues r of L(low) and s of L(high).  Each restricted mu's residues are
-    one bit mask (the zero weight's is 1), so the test is one AND with the
-    high part's mask negated."""
+    twists act trivially, 1 is an eigenvalue iff r + s = 0 modulo o = 2^n + 1
+    for residues r of L(low) and s of L(high).  Each restricted mu's residues
+    are one o-bit mask, which `value_mask` reads at the Singer form
+    (o, (1, 2, ..., 2^(n-1))); the zero weight's mask is 1.  The test is one
+    AND with the high part's mask negated."""
     cases, failures = 0, []
     for n in range(1, max_n + 1):
-        shape, o = singer_shape(n), 2**n + 1
+        o = 2**n + 1
+        singer = (o, tuple(1 << j for j in range(n)))
         masks, negated = {(0,) * n: 1}, {(0,) * n: 1}  # restricted mu -> its residues, and their negatives
         for coeffs in product(range(4), repeat=n):
             w = Weight(coeffs)
@@ -244,13 +246,20 @@ def _suite_th2(max_n: int):
             low, high = tuple(a & 1 for a in coeffs), tuple(a >> 1 for a in coeffs)
             for mu in (low, high):
                 if mu not in masks:
-                    found = residues(weight_set(Weight(mu)), shape)
-                    masks[mu] = sum(1 << r for (r,) in found)
-                    negated[mu] = sum(1 << -r % o for (r,) in found)
+                    masks[mu] = mask = value_mask(weight_set(Weight(mu)), singer)
+                    negated[mu] = sum(1 << -r % o for r in range(o) if mask >> r & 1)
             oracle = masks[low] & negated[high] != 0
             if fast != oracle:
                 _fail(failures, f"n={n} w={w}", fast, oracle)
     return cases, failures, []
+
+
+def _element_forms(n: int):
+    """The element oracles' reference route at rank n: each element with
+    its generator tuples us, each paired with the canonical form of its
+    embedding, `zero_form(to_torus_element(g, us))`, in enumeration order."""
+    return [(g, [(us, zero_form(to_torus_element(g, us))) for us in generator_tuples(g)])
+            for g in enumerate_elements(n)]
 
 
 def _suite_ff2(max_n: int):
@@ -263,11 +272,10 @@ def _suite_ff2(max_n: int):
     for n in range(1, max_n + 1):
         orbit = list(weyl_orbit(to_eps(fundamental(n, n))).member_coords())
         realized_at = {}  # canonical form -> the orders realized over the orbit
-        for g in enumerate_elements(n):
+        for g, forms in _element_forms(n):
             predicted = omega_n_eigenvalue_orders(g)
-            for us in generator_tuples(g):
+            for us, form in forms:
                 cases += 1
-                form = zero_form(to_torus_element(g, us))
                 realized = realized_at.get(form)
                 if realized is None:
                     m, c = form
@@ -280,16 +288,16 @@ def _suite_ff2(max_n: int):
 def check_element_vs_direct(max_n: int):
     """Closed-form per-element verdicts for top-coefficient weights against
     direct evaluation over every generator choice.  At each generator tuple
-    the element's values are one linear form (`zero_form`), computed once
-    per rank from `to_torus_element`; whether some weight of L(w) vanishes
-    there is the per-orbit zero test `zero_at`, which lists no member.  It
-    is a function of (ws, form) alone, and the tuples of a rank share few
-    forms (2^n of them at rank n), so each weight asks it once per distinct
-    form and every tuple is compared with the answer for its own form."""
+    the element's values are one linear form (`zero_form`), listed once per
+    rank by `_element_forms`, the route ff2 reads too; whether some weight
+    of L(w) vanishes there is the per-orbit zero test `zero_at`, which lists
+    no member.  It is a function of (ws, form) alone, and the tuples of a
+    rank share few forms (2^n of them at rank n), so each weight asks it
+    once per distinct form and every tuple is compared with the answer for
+    its own form."""
     cases, failures = 0, []
     for n in range(1, max_n + 1):
-        elements = [(g, [(us, zero_form(to_torus_element(g, us))) for us in generator_tuples(g)])
-                    for g in enumerate_elements(n)]
+        elements = _element_forms(n)
         distinct = {form for _, forms in elements for _, form in forms}
         for w in _restricted_top(n):
             ws = weight_set(w)

@@ -8,11 +8,13 @@ restricts to a block as the residue sum(c_j * 2^j) modulo the factor
 order.  All wrap-around relations are automatic in the modular
 arithmetic.  The weight sets are evaluated without listing an orbit: one
 o-bit mask (o a modulus) of the values reached is kept per unplaced rest
-of an orbit's magnitudes, placed position by position by `_place`.
-`residues` lists every residue tuple of a weight set on a torus.  The
-zero questions, whether a weight restricts trivially to a torus
-(`trivial_constituent`) or vanishes at one element (`zero_at`), go
-through one cached per-orbit kernel that keeps only the masks reaching 0.
+of an orbit's magnitudes, placed position by position by `_place`.  That
+one engine has two readers: `value_mask` reads the whole mask of one
+linear form once every position is placed (th2 reads the Singer torus this
+way), and the zero questions, whether a weight restricts trivially to a
+torus (`trivial_constituent`) or vanishes at one element (`zero_at`), go
+through one cached per-orbit kernel that follows only residue 0, form by
+form.
 `zero_forms` lists the distinct canonical forms of the elements of a torus
 or of an element's generator choices, each tested once by `zero_at`;
 `eval_coefficients`, the oracles' route, writes a value at a torus element
@@ -143,69 +145,24 @@ def block_sums(mu: EpsWeight, shape: TorusShape) -> tuple[int, ...]:
     return tuple(residues)
 
 
-def restricts_trivially(mu: EpsWeight, shape: TorusShape) -> bool:
-    """True when the character attached to mu is trivial on the whole torus."""
-    return not any(block_sums(mu, shape))
-
-
 _spent: ContextVar[int] = ContextVar("engine work spent")
 
 
-def residues(ws: WeightSet, shape: TorusShape) -> frozenset[tuple[int, ...]]:
-    """The distinct tuples `block_sums(mu, shape)` over the weights mu of ws.
-
-    th2 reads it on the one-block Singer torus; on several blocks it is the
-    reference the tests hold the zero kernel `_zero` against.  The engine
-    charges the work it does as it runs, against one tally per call: the
-    mask words its passes hold and the codes its joins insert (sub-results
-    already cached cost nothing).  Raises WorkLimitError as soon as the
-    tally is more than WORK_LIMIT."""
-    if ws.rank != shape.rank:
-        raise ValueError(f"rank mismatch: {ws.rank} vs {shape.rank}")
+def _tallied(run, *args):
+    """run(*args) against one fresh work tally: the mask words its passes
+    hold (sub-results already cached cost nothing)."""
     token = _spent.set(0)
     try:
-        codes = _residue_codes(shape.blocks, ws.orbits)
+        return run(*args)
     finally:
         _spent.reset(token)
-    orders = factor_orders(shape)
-    strides = [prod(orders[i + 1:]) for i in range(len(orders))]
-    return frozenset(tuple(c // st % o for st, o in zip(strides, orders)) for c in codes)
 
 
 def _spend(count: int) -> None:
     """Add count to the tally of the running engine call and charge it."""
     spent = _spent.get() + count
     _spent.set(spent)
-    charge(spent, "mask words and code insertions")
-
-
-@lru_cache(maxsize=1 << 14)
-def _residue_codes(blocks: tuple[tuple[int, int], ...], orbits: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """Residue tuples r of the signed arrangements over `blocks` of the
-    sorted magnitudes in `orbits`, each packed as sum(r_i * product of later
-    orders), one code per distinct tuple: the first block, of order o, is
-    filled position by position, keeping for each unplaced rest (a key) one
-    o-bit mask of the residues reached; then each key is joined, at the set
-    bits of its mask only, with the codes of its rest on the later blocks.
-    No runtime path reaches the join (th2 passes one block); it is kept as
-    the independent reference of `_zero`, which follows only residue 0.
-
-    Charged as it runs: the passes as `_passes` charges them, and before
-    each join its popcount(mask) * len(tail) set insertions."""
-    if not blocks:
-        return (0,)
-    (k, s), later = blocks[0], blocks[1:]
-    o, stride = 2**k - s, prod(2**b - t for b, t in later)
-    states = _passes(dict.fromkeys(orbits, 1), [1 << j for j in range(k)], o)
-    codes = set()
-    for rest, mask in states.items():
-        tail, bits = _residue_codes(later, (rest,)), bin(mask)[:1:-1]  # bit r at index r
-        _spend(mask.bit_count() * len(tail))
-        r = bits.find("1")
-        while r >= 0:
-            codes.update(r * stride + c for c in tail)
-            r = bits.find("1", r + 1)
-    return tuple(codes)
+    charge(spent, "mask words")
 
 
 def _passes(states: dict, cs: Iterable[int], o: int) -> dict:
@@ -221,9 +178,10 @@ def _passes(states: dict, cs: Iterable[int], o: int) -> dict:
 
 
 def _place(states: dict, c: int, o: int) -> dict:
-    """The states {unplaced rest: mask of residues mod o} after one more
-    magnitude v is placed, with either sign, at a position of multiplier c:
-    the mask rotated by +(v * c) and by -(v * c) mod o."""
+    """One pass of the placement engine, the one behind `_zero` and
+    `value_mask`: the states {unplaced rest: mask of the values reached mod
+    o} after one more magnitude v is placed, with either sign, at a position
+    of multiplier c: the mask rotated by +(v * c) and by -(v * c) mod o."""
     full, out = (1 << o) - 1, {}
     for left, mask in states.items():
         both = mask | mask << o  # bit r at r and r + o: a rotation is one shift
@@ -240,8 +198,8 @@ def _zero(forms: tuple[tuple[int, tuple[int, ...]], ...], orbit: tuple[int, ...]
     """Whether some signed arrangement of the sorted magnitudes `orbit` makes
     every linear form vanish: each form (m, c) takes the next len(c)
     positions, worth c_j modulo m.  The first form's passes (`_passes`, the
-    only charge) run as in `_residue_codes`; only the keys whose mask holds
-    residue 0 go on to the later forms, and nothing is joined."""
+    only charge) place those positions; only the keys whose mask holds
+    residue 0 go on to the later forms."""
     if not forms:
         return True
     (m, cs), later = forms[0], forms[1:]
@@ -252,11 +210,7 @@ def _zero(forms: tuple[tuple[int, tuple[int, ...]], ...], orbit: tuple[int, ...]
 def _zero_in(ws: WeightSet, forms: tuple[tuple[int, tuple[int, ...]], ...]) -> bool:
     """Whether some weight of ws makes every form vanish, orbit by orbit,
     against one work tally per call."""
-    token = _spent.set(0)
-    try:
-        return any(_zero(forms, orbit) for orbit in ws.orbits)
-    finally:
-        _spent.reset(token)
+    return _tallied(any, (_zero(forms, orbit) for orbit in ws.orbits))  # consumed inside the tally
 
 
 def trivial_constituent(ws: WeightSet, shape: TorusShape) -> bool:
@@ -302,15 +256,31 @@ def zero_forms(blocks: Iterable[tuple[int, int]], units: bool) -> list[tuple[int
     return sorted({_canonical(M, sum(sum(pick, ()), ())) for pick in picks})
 
 
-def zero_at(ws: WeightSet, form: tuple[int, tuple[int, ...]]) -> bool:
-    """Whether some weight of ws vanishes at a torus element of canonical
-    form `form` (see `zero_form`): whether the element has eigenvalue 1."""
+def _checked(ws: WeightSet, form: tuple[int, tuple[int, ...]]) -> tuple[int, tuple[int, ...]]:
+    """The form (m, c) of a linear form on the weights of ws, validated."""
     m, c = form
     if m < 1:
         raise ValueError(f"modulus must be positive, got {m}")
     if len(c) != ws.rank:
         raise ValueError(f"rank mismatch: {ws.rank} vs {len(c)}")
-    return _zero_in(ws, ((m, tuple(c)),))
+    return m, tuple(c)
+
+
+def zero_at(ws: WeightSet, form: tuple[int, tuple[int, ...]]) -> bool:
+    """Whether some weight of ws vanishes at a torus element of canonical
+    form `form` (see `zero_form`): whether the element has eigenvalue 1."""
+    return _zero_in(ws, (_checked(ws, form),))
+
+
+def value_mask(ws: WeightSet, form: tuple[int, tuple[int, ...]]) -> int:
+    """The m-bit mask of the values sum(c_j * mu_j) mod m over the weights mu
+    of ws, for a form (m, c) as `zero_at` takes it: bit r is set iff some
+    weight takes the value r (no bit for a set with no weight).  Every
+    position is placed, so the passes end with the one key (), which holds
+    the whole mask; charged as `_passes` charges, against one work tally
+    per call."""
+    m, c = _checked(ws, form)
+    return _tallied(_passes, dict.fromkeys(ws.orbits, 1), c, m).get((), 0)
 
 
 def occurs_in_omega_n(residues: tuple[int, ...], shape: TorusShape) -> bool:

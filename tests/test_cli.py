@@ -94,6 +94,8 @@ def test_usage_errors(capsys):
     assert cli_main(["weights", "2", "1,1,1"]) == 2  # rank mismatch
     assert cli_main(["element", "junk", "--omega", "1"]) == 2
     capsys.readouterr()
+    assert cli_main(["branch", "--N", "3", "--lambda", "1,x"]) == 2
+    assert capsys.readouterr().err == "error: cannot parse lambda '1,x'\n"
 
 
 @pytest.mark.parametrize("suite, max_n", [("fr1", "0"), ("fr1", "-3"), ("all", "0")])

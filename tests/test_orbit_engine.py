@@ -1,13 +1,14 @@
-"""The orbit representation and the residue engine against explicitly
+"""The orbit representation and the placement engine against explicitly
 listed weight sets.
 
 The reference sets here are built the long way, independently of
 `WeightSet.member_coords`: every orbit from all n! permutations and all 2^n
 sign patterns, saturated sets as unions of those orbits, and the a_n = 1
 sets as the explicit Minkowski sum with the orbit of the top fundamental
-weight.  The bitset residue engine is also checked against the set-based
-engine it replaced, kept here as `_ref_codes`, and the per-orbit zero tests
-against the residue engine and against `eval_weight`.
+weight.  The engine's two readers, the per-orbit zero tests and
+`value_mask`, are checked against the residues of those listed members,
+against the set-based engine the bitset masks replaced, kept here as
+`_ref_codes`, and against `eval_weight`.
 """
 
 from functools import cache
@@ -29,9 +30,8 @@ from sp2n.tori import (
     enumerate_shapes,
     eval_weight,
     factor_orders,
-    residues,
-    singer_shape,
     trivial_constituent,
+    value_mask,
     zero_at,
     zero_form,
 )
@@ -96,6 +96,11 @@ def _listed_residues(listed, n):
     return out
 
 
+def _block_form(k, s):
+    """The form of the one-block torus (k, s): modulus 2^k - s, offset j worth 2^j."""
+    return 2**k - s, tuple(1 << j for j in range(k))
+
+
 def _th7_listed(listed, sizes):
     spans, pos = [], 0
     for b in sizes:
@@ -129,7 +134,9 @@ def _check(w, kind):
                 if all(v[i] >= v[i + 1] for i in range(n - 1)) and v[-1] >= 0]
     assert list(ws.reps) == sorted(dominant, key=lambda d: d.coeffs), (w, kind)
     for shape, expected in _listed_residues(listed, n).items():
-        assert residues(ws, shape) == expected, (w, kind, shape)
+        assert trivial_constituent(ws, shape) == ((0,) * len(shape.blocks) in expected), (w, kind, shape)
+        if len(shape.blocks) == 1:  # (n, 1) and (n, -1): the whole value mask
+            assert value_mask(ws, _block_form(*shape.blocks[0])) == sum(1 << r for (r,) in expected), (w, kind, shape)
     sizes_pool = _compositions(n) if n <= 4 else [[1] * k for k in range(n + 1)] + [[2, 3], [3, 1, 1]]
     for sizes in sizes_pool:
         assert th7_blocks(w, sizes, kind) == _th7_listed(listed, sizes), (w, kind, sizes)
@@ -195,7 +202,8 @@ def _ref_place(states, j, o):
 
 @cache
 def _ref_codes(blocks, mags):
-    """The set-based `_residue_codes` on one orbit, kept as the reference."""
+    """The residue tuples of one orbit on `blocks`, each packed as sum(r_i *
+    product of later orders), by the set-based engine: the reference."""
     if not blocks:
         return frozenset({0})
     (k, s), later = blocks[0], blocks[1:]
@@ -231,77 +239,75 @@ def _engine_inputs(draw):
 def test_bitset_engine_matches_set_engine(inputs):
     shape, orbits = inputs
     ws = WeightSet(shape.rank, orbits)
-    assert residues(ws, shape) == _ref_residues(ws, shape)
+    expected = _ref_residues(ws, shape)
+    assert trivial_constituent(ws, shape) == ((0,) * len(shape.blocks) in expected)
+    if len(shape.blocks) == 1:
+        assert value_mask(ws, _block_form(*shape.blocks[0])) == sum(1 << r for (r,) in expected)
 
 
 def test_multi_block_torus_rank7_answers():
     ws, shape = weight_set(Weight((1,) * 7)), tori.parse_torus_label("-2,-1,-1,-1,-1,-1")
-    assert residues(ws, shape) == _ref_residues(ws, shape)
+    assert trivial_constituent(ws, shape) == ((0,) * len(shape.blocks) in _ref_residues(ws, shape))
 
 
 def test_singer_torus_rank7_answers():
     # one of the rank-7 sets the th2 suite evaluates one cap above its default
-    w, shape = Weight((1, 1, 1, 1, 1, 0, 1)), singer_shape(7)
-    assert ((0,) in residues(weight_set(w), shape)) == singer_cycle_has_one(w)
+    w = Weight((1, 1, 1, 1, 1, 0, 1))
+    assert bool(value_mask(weight_set(w), _block_form(7, -1)) & 1) == singer_cycle_has_one(w)
 
 
 def test_singer_torus_rank8_answers(monkeypatch):
     # th2 at cap 8 evaluates this set; a closed-form bound of 1,485,846
-    # refused it, while the engine does 38,864 units of work
-    w, shape = Weight((1,) * 8), singer_shape(8)
+    # refused it, while the engine does 38,607 units of work and reaches
+    # every value modulo 257
+    w = Weight((1,) * 8)
     ws = weight_set(w)
-    assert ((0,) in residues(ws, shape)) == singer_cycle_has_one(w)
-    assert _charged(ws, shape, monkeypatch) == 38_864
+    mask, charged = _zero_charged(lambda: value_mask(ws, _block_form(8, -1)), monkeypatch)
+    assert bool(mask & 1) == singer_cycle_has_one(w)
+    assert mask == (1 << 257) - 1
+    assert charged == 38_607
 
 
-def _created(ws, shape, mp):
-    """The work the engine does for ws on shape from a cold cache, counted
-    from outside: for each distinct call, ceil(o / 64) words for its first
-    block (of order o), the words of every key its passes return (one per
-    started 64 bits of the mask), and the set insertions of its join, each
-    key's popcount times the codes of its rest on the later blocks."""
-    created, frames = 0, []
-    place, body = tori._place, tori._residue_codes.__wrapped__
+def _zero_created(call, mp):
+    """The work the placement engine does for call() from a cold cache,
+    counted from outside: for each run of `_passes`, ceil(m / 64) words for
+    its modulus m and the words of every key its passes return (one per
+    started 64 bits of the mask)."""
+    created = 0
+    passes, place = tori._passes, tori._place
+
+    def counting_passes(states, cs, m):
+        nonlocal created
+        created += -(-m // 64)
+        return passes(states, cs, m)
 
     def counting_place(*args):
         nonlocal created
-        frames[-1] = out = place(*args)  # the latest states of the calling call
+        out = place(*args)
         created += sum(-(-mask.bit_length() // 64) for mask in out.values())
         return out
 
-    @cache
-    def counting_codes(blocks, orbits):
-        nonlocal created
-        frames.append(None)
-        out = body(blocks, orbits)  # its calls on the later blocks come back here
-        states = frames.pop()
-        if blocks:
-            (k, s), later = blocks[0], blocks[1:]
-            created += -(-(2**k - s) // 64)
-            created += sum(mask.bit_count() * len(counting_codes(later, (rest,))) for rest, mask in states.items())
-        return out
-
+    mp.setattr(tori, "_passes", counting_passes)
     mp.setattr(tori, "_place", counting_place)
-    mp.setattr(tori, "_residue_codes", counting_codes)
-    residues(ws, shape)
-    return created
+    tori._zero.cache_clear()
+    return call(), created
 
 
-def _charged(ws, shape, monkeypatch):
-    """`_created(ws, shape)`, checked to be exactly what `residues` charges
+def _zero_charged(call, monkeypatch):
+    """`_zero_created(call)`, checked to be exactly what the engine charges
     from a cold cache: a work limit one below it refuses, one at it answers."""
     with monkeypatch.context() as mp:
-        created = _created(ws, shape, mp)
+        answer, created = _zero_created(call, mp)
     for limit in (created - 1, created):
-        tori._residue_codes.cache_clear()
+        tori._zero.cache_clear()
         with monkeypatch.context() as mp:
             mp.setattr(arith, "WORK_LIMIT", limit)
             if limit < created:
                 with pytest.raises(WorkLimitError):
-                    residues(ws, shape)
+                    call()
             else:
-                residues(ws, shape)
-    return created
+                assert call() == answer
+    return answer, created
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -310,49 +316,57 @@ def test_residue_work_bounds_states_created(n, monkeypatch):
     for w, kind in _modules(n):
         ws = weight_set(w, kind)
         for shape in enumerate_shapes(n):
-            _charged(ws, shape, monkeypatch)
-
-
-def test_residue_charge_counts_join_insertions(monkeypatch):
-    # the join makes 169,049 set insertions here, 6.3 times an earlier
-    # closed-form bound that counted distinct codes only
-    ws, shape = weight_set(Weight((0, 1, 0, 1, 0, 0, 1, 1)), IRR2), tori.parse_torus_label("-2,-2,-2,-2")
-    assert _charged(ws, shape, monkeypatch) >= 169_049
+            _zero_charged(lambda: trivial_constituent(ws, shape), monkeypatch)
+            if len(shape.blocks) == 1:
+                _zero_charged(lambda: value_mask(ws, _block_form(*shape.blocks[0])), monkeypatch)
 
 
 def test_residue_work_bounds_large_masks(monkeypatch):
-    # blocks of order 65,535: the 32 keys that have placed the 1 hold masks
-    # of 1,024 words, the keys holding residue 0 alone one word each
+    # blocks of order 65,535: on each block the 16 keys that have placed the
+    # 1 hold masks of 1,024 words, the keys holding residue 0 alone one word each
     ws, shape = weight_set(fundamental(32, 1)), TorusShape(((16, 1), (16, 1)))
-    assert 32 * 1024 <= _charged(ws, shape, monkeypatch)
+    answer, charged = _zero_charged(lambda: trivial_constituent(ws, shape), monkeypatch)
+    assert not answer and 32 * 1024 <= charged
 
 
 def test_residue_work_is_counted_before_any_pass(monkeypatch):
-    # the first block's ceil(o / 64) words are charged before its first pass
+    # the first form's ceil(m / 64) words are charged before its first pass
     ws, shape = weight_set(Weight((1, 1, 0, 1))), TorusShape(((2, -1), (2, 1)))
-    charged = _charged(ws, shape, monkeypatch)
+    _, charged = _zero_charged(lambda: trivial_constituent(ws, shape), monkeypatch)
+    listed = _listed_residues(_listed(Weight((1, 1, 0, 1)), IRR2), 4)[shape]
     passes = []
     place = tori._place
     monkeypatch.setattr(tori, "_place", lambda *args: passes.append(args) or place(*args))
     monkeypatch.setattr(arith, "WORK_LIMIT", 0)
-    tori._residue_codes.cache_clear()
+    tori._zero.cache_clear()
     with pytest.raises(WorkLimitError):
-        residues(ws, shape)
+        trivial_constituent(ws, shape)
     assert not passes
     monkeypatch.setattr(arith, "WORK_LIMIT", charged)
-    assert residues(ws, shape) == _listed_residues(_listed(Weight((1, 1, 0, 1)), IRR2), 4)[shape]
+    assert trivial_constituent(ws, shape) == ((0, 0) in listed)
     assert passes
 
 
-def test_wide_block_is_refused_before_any_pass(monkeypatch):
-    # a block of order 2^40 - 1 would need masks of 2^34 words
-    ws, shape = weight_set(fundamental(40, 1)), TorusShape(((40, 1),))
+def _wide_refused(call, monkeypatch):
+    """Whether call() is refused with no `_place` pass run."""
     passes = []
     place = tori._place
     monkeypatch.setattr(tori, "_place", lambda *args: passes.append(args) or place(*args))
+    tori._zero.cache_clear()
     with pytest.raises(WorkLimitError):
-        residues(ws, shape)
-    assert not passes
+        call()
+    return not passes
+
+
+def test_wide_block_is_refused_before_any_pass(monkeypatch):
+    # a form of modulus 2^40 - 1 would need masks of 2^34 words
+    ws = weight_set(fundamental(40, 1))
+    assert _wide_refused(lambda: zero_at(ws, _block_form(40, 1)), monkeypatch)
+
+
+def test_wide_block_value_mask_is_refused_before_any_pass(monkeypatch):
+    ws = weight_set(fundamental(40, 1))
+    assert _wide_refused(lambda: value_mask(ws, _block_form(40, 1)), monkeypatch)
 
 
 @st.composite
@@ -371,7 +385,7 @@ def _module_on_torus(draw):
 @example((weight_set(Weight((1, 0, 1, 0, 1, 0))), TorusShape(((3, -1), (2, 1), (1, -1)))))
 def test_zero_test_matches_residue_engine(case):
     ws, shape = case
-    assert trivial_constituent(ws, shape) == ((0,) * len(shape.blocks) in residues(ws, shape))
+    assert trivial_constituent(ws, shape) == ((0,) * len(shape.blocks) in _ref_residues(ws, shape))
 
 
 @st.composite
@@ -408,52 +422,12 @@ def test_zero_form_is_canonical(data):
 
 
 def test_zero_at_validates_form():
-    with pytest.raises(ValueError):
-        zero_at(weight_set(fundamental(2, 1)), (5, (1, 2, 4)))
-    with pytest.raises(ValueError):
-        zero_at(weight_set(fundamental(2, 1)), (0, (1, 2)))
-
-
-def _zero_created(call, mp):
-    """The work the zero kernel does for call() from a cold cache, counted
-    from outside: for each distinct call, ceil(m / 64) words for its first
-    form (of modulus m) and the words of every key its passes return."""
-    created = 0
-    place, body = tori._place, tori._zero.__wrapped__
-
-    def counting_place(*args):
-        nonlocal created
-        out = place(*args)
-        created += sum(-(-mask.bit_length() // 64) for mask in out.values())
-        return out
-
-    @cache
-    def counting_zero(forms, orbit):
-        nonlocal created
-        if forms:
-            created += -(-forms[0][0] // 64)
-        return body(forms, orbit)  # its calls on the later forms come back here
-
-    mp.setattr(tori, "_place", counting_place)
-    mp.setattr(tori, "_zero", counting_zero)
-    return call(), created
-
-
-def _zero_charged(call, monkeypatch):
-    """`_zero_created(call)`, checked to be exactly what the kernel charges
-    from a cold cache: a work limit one below it refuses, one at it answers."""
-    with monkeypatch.context() as mp:
-        answer, created = _zero_created(call, mp)
-    for limit in (created - 1, created):
-        tori._zero.cache_clear()
-        with monkeypatch.context() as mp:
-            mp.setattr(arith, "WORK_LIMIT", limit)
-            if limit < created:
-                with pytest.raises(WorkLimitError):
-                    call()
-            else:
-                assert call() == answer
-    return answer, created
+    for read in (zero_at, value_mask):  # one validation for both readers
+        with pytest.raises(ValueError):
+            read(weight_set(fundamental(2, 1)), (5, (1, 2, 4)))
+        with pytest.raises(ValueError):
+            read(weight_set(fundamental(2, 1)), (0, (1, 2)))
+    assert value_mask(WeightSet(2, []), (5, (1, 2))) == 0  # no weight, no value
 
 
 def test_zero_work_is_charged_exactly(monkeypatch):
@@ -470,13 +444,7 @@ def test_zero_work_is_charged_exactly(monkeypatch):
 def test_wide_block_zero_test_is_refused_before_any_pass(monkeypatch):
     # a block of order 2^40 - 1 would need masks of 2^34 words
     ws, shape = weight_set(fundamental(40, 1)), TorusShape(((40, 1),))
-    passes = []
-    place = tori._place
-    monkeypatch.setattr(tori, "_place", lambda *args: passes.append(args) or place(*args))
-    tori._zero.cache_clear()
-    with pytest.raises(WorkLimitError):
-        trivial_constituent(ws, shape)
-    assert not passes
+    assert _wide_refused(lambda: trivial_constituent(ws, shape), monkeypatch)
 
 
 def test_zero_cache_is_bounded():

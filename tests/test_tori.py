@@ -19,7 +19,6 @@ from sp2n.tori import (
     factor_orders,
     occurs_in_omega_n,
     parse_torus_label,
-    restricts_trivially,
     singer_index,
     singer_shape,
     t_sharp,
@@ -132,14 +131,9 @@ def test_block_sums_examples():
     assert block_sums(EpsWeight((1, 0)), sh) == (1,)
     assert block_sums(EpsWeight((1, 1)), sh) == (3,)
     assert block_sums(EpsWeight((0, 0, 0)), t_sharp(3)) == (0, 0, 0)
+    assert block_sums(EpsWeight((3,)), TorusShape(((1, -1),))) == (0,)  # 3 wraps to 0 modulo 3
     with pytest.raises(ValueError):
         block_sums(EpsWeight((1, 0, 0)), sh)
-
-
-def test_restricts_trivially():
-    assert not restricts_trivially(EpsWeight((1, 0)), singer_shape(2))
-    assert restricts_trivially(EpsWeight((3,)), TorusShape(((1, -1),)))
-    assert restricts_trivially(EpsWeight((0, 0)), singer_shape(2))
 
 
 def test_trivial_constituent_examples():
