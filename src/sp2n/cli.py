@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("torus-trivial", help="trivial constituent on one torus class?")
     p.add_argument("n", type=int)
     p.add_argument("omega")
-    p.add_argument("--torus", required=True, help='signed label, e.g. "-2" or "-1,1"')
+    p.add_argument("--torus", required=True, help='signed label, e.g. --torus=-2 or --torus=-1,1')
     p.add_argument("--json", action="store_true")
     p.add_argument("--expect", choices=("yes", "no"))
     p.set_defaults(fn=_cmd_torus_trivial)

@@ -240,8 +240,9 @@ def parse_element(text: str) -> SemisimpleElement:
     """Parse semicolon-separated "d:o:sign" triples, e.g. "1:3:-;2:5:-"."""
     blocks = []
     for part in text.strip().split(";"):
-        fields = part.split(":")
-        if len(fields) != 3 or fields[2] not in ("+", "-"):
-            raise ValueError(f"cannot parse element block {part!r}")
-        blocks.append((int(fields[0]), int(fields[1]), -1 if fields[2] == "-" else 1))
+        try:
+            d, o, sign = part.split(":")
+            blocks.append((int(d), int(o), {"-": -1, "+": 1}[sign]))
+        except (ValueError, KeyError) as exc:
+            raise ValueError(f"cannot parse element block {part!r}") from exc
     return build_element(blocks)

@@ -58,6 +58,12 @@ def test_torus_trivial(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["decision"] == "no"
     assert out["citations"] == ["Thm-s10"]
+    # a label like -1,1 goes with "=", as the help text shows: argparse reads
+    # "--torus -1,1" as the option without its value
+    assert cli_main(["torus-trivial", "2", "0,1", "--torus=-1,1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["decision"] == "no"
+    assert cli_main(["torus-trivial", "2", "0,1", "--torus", "-1,1"]) == 2
+    assert "expected one argument" in capsys.readouterr().err
 
 
 def test_element(capsys):
@@ -94,6 +100,8 @@ def test_usage_errors(capsys):
     assert cli_main(["weights", "2", "1,1,1"]) == 2  # rank mismatch
     assert cli_main(["element", "junk", "--omega", "1"]) == 2
     capsys.readouterr()
+    assert cli_main(["element", "1:a:-", "--omega", "1"]) == 2
+    assert capsys.readouterr().err == "error: cannot parse element block '1:a:-'\n"
     assert cli_main(["branch", "--N", "3", "--lambda", "1,x"]) == 2
     assert capsys.readouterr().err == "error: cannot parse lambda '1,x'\n"
 
@@ -132,7 +140,7 @@ _OMEGA_1_RANK_20 = ",".join(["1"] + ["0"] * 19)
     ["torus-trivial", "40", ",".join(["0"] * 38 + ["1", "0"]), "--torus", "20,20"],
     # one mask of 2^40 - 1 bits, refused before it is allocated
     ["torus-trivial", "40", ",".join(["0"] * 38 + ["1", "0"]), "--torus", "40"],
-], ids=["element", "element-picks", "tori", "weights", "weights-11", "residues", "residues-wide"])
+], ids=["element", "element-picks", "tori", "weights", "weights-11", "zero-kernel", "zero-kernel-wide"])
 def test_work_limit_exceeded_exits_4(capsys, argv):
     started = time.perf_counter()
     assert cli_main(argv) == 4

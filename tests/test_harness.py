@@ -161,11 +161,11 @@ def test_th2_residue_keys_are_pinned(monkeypatch):
 
 
 def test_th2_answers_one_rank_past_its_cap():
-    assert harness._suite_th2(7) == (21844, [], [])
+    assert harness._tally(harness._suite_th2(7)) == (21844, [])
 
 
 def test_ff2_answers_two_ranks_past_its_cap():
-    assert harness._suite_ff2(6) == (2554, [], [])
+    assert harness._tally(harness._suite_ff2(6)) == (2554, [])
 
 
 def test_th2_oracle_reports_a_flipped_verdict(monkeypatch):
@@ -173,7 +173,7 @@ def test_th2_oracle_reports_a_flipped_verdict(monkeypatch):
     w = Weight((2, 0))
     real = harness.singer_cycle_has_one
     monkeypatch.setattr(harness, "singer_cycle_has_one", lambda v: real(v) != (v == w))
-    cases, failures, _ = harness._suite_th2(2)
+    cases, failures = harness._tally(harness._suite_th2(2))
     assert cases == 20
     assert failures == [{"input": f"n=2 w={w}", "fast": str(not real(w)), "oracle": str(real(w))}]
 
@@ -184,10 +184,32 @@ def test_ff2_oracle_reports_every_tuple_of_a_wrong_prediction(monkeypatch):
     g = build_element([(2, 5, -1), (1, 3, -1)])
     real = harness.omega_n_eigenvalue_orders
     monkeypatch.setattr(harness, "omega_n_eigenvalue_orders", lambda h: real(h) | {7} if h == g else real(h))
-    _, failures, _ = harness._suite_ff2(3)
+    _, failures = harness._tally(harness._suite_ff2(3))
     tuples = list(generator_tuples(g))
     assert len(failures) == len(tuples) > 1
     assert [f["input"] for f in failures] == [f"n=3 g={g} u={us}" for us in tuples]
+
+
+def test_m22_oracle_reports_a_flipped_verdict_with_every_leg(monkeypatch):
+    # one case compares the closed-form legs with the zero-membership answer,
+    # and up to n = 4 the materialized and tensor legs with their oracles too
+    low, high = Weight((1, 1)), Weight((1, 0, 1, 1, 1))
+    real = harness.has_zero_weight
+    monkeypatch.setattr(harness, "has_zero_weight", lambda v: real(v) != (v in (low, high)))
+    rep = run_suite("m22", 5)
+    assert rep.cases == 31
+    assert rep.failures == [
+        {"input": "n=2 w=1,1", "fast": "(True, False, False, False, '1,0; 1,1')",
+         "oracle": "(False, False, False, False, '1,0; 1,1')"},
+        {"input": "n=5 w=1,0,1,1,1", "fast": "(True, False, False)", "oracle": "(False, False, False)"},
+    ]
+
+
+def test_default_reports_match_the_recorded_reports():
+    # the behaviour lock: every suite's default-cap report, byte for byte
+    recorded = json.loads((Path(__file__).resolve().parents[1] / "bench" / "expected" / "suites.json").read_text())
+    for name in recorded["order"]:
+        assert run_suite(name).to_json() == recorded["reports"][name], name
 
 
 @pytest.mark.parametrize("name, cases, pinned", [("ee3", 30, 934), ("s10", 212, 960)])
@@ -267,7 +289,8 @@ def _member_by_member(max_n):
                     t = to_torus_element(g, us)
                     direct = any(_value_by_blocks(mu, t) == 0 for mu in ws)
                     if fast != direct:
-                        harness._fail(failures, f"n={n} w={w} g={g} u={us}", fast, direct)
+                        failures.append({"input": f"n={n} w={w} g={g} u={us}",
+                                         "fast": str(fast), "oracle": str(direct)})
     return cases, failures
 
 

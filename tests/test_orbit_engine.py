@@ -256,6 +256,18 @@ def test_singer_torus_rank7_answers():
     assert bool(value_mask(weight_set(w), _block_form(7, -1)) & 1) == singer_cycle_has_one(w)
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_singer_masks_are_closed_under_negation(n):
+    # -1 lies in the Weyl group of C_n, so every weight set is closed under
+    # negation and so is each of its value masks; th2's oracle ANDs two
+    # masks without negating either because of this
+    form = _block_form(n, -1)
+    o = form[0]
+    for bits in product((0, 1), repeat=n):
+        mask = value_mask(weight_set(Weight(bits)), form)
+        assert mask == sum(1 << -r % o for r in range(o) if mask >> r & 1), bits
+
+
 def test_singer_torus_rank8_answers(monkeypatch):
     # th2 at cap 8 evaluates this set; a closed-form bound of 1,485,846
     # refused it, while the engine does 38,607 units of work and reaches
