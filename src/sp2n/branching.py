@@ -15,7 +15,7 @@ the predicates are named by what they check.
 from dataclasses import dataclass
 from math import gcd
 
-from .arith import mult_order
+from .arith import factorize, mult_order
 from .weights import EpsWeight, Weight, fundamental
 
 
@@ -88,6 +88,16 @@ def exterior_factors(k: int, n: int) -> frozenset[Weight]:
     )
 
 
+def _check_order_and_field(o: int, q: int) -> None:
+    """An element order o >= 1 coprime to a field size q that is a prime power, or ValueError."""
+    if o < 1:
+        raise ValueError(f"order must be positive, got {o}")
+    if q < 2 or len(factorize(q)) != 1:
+        raise ValueError(f"field size {q} is not a prime power")
+    if gcd(o, q) != 1:
+        raise ValueError(f"order {o} and field size {q} are not coprime")
+
+
 def real_by_order_sl(o: int, q: int) -> bool:
     """True when o divides q^i + 1 for some i > 0 (a realness guarantee
     for elements of order o in even-dimensional linear groups).
@@ -95,10 +105,7 @@ def real_by_order_sl(o: int, q: int) -> bool:
     Closed form: -1 must be a power of q modulo o, which happens iff the
     multiplicative order t of q is even with q^(t/2) = -1, or o <= 2.
     """
-    if o < 1:
-        raise ValueError(f"order must be positive, got {o}")
-    if gcd(o, q) != 1:
-        raise ValueError(f"order {o} and field size {q} are not coprime")
+    _check_order_and_field(o, q)
     if o <= 2:
         return True
     t = mult_order(q, o)
@@ -108,10 +115,7 @@ def real_by_order_sl(o: int, q: int) -> bool:
 def real_by_order_su(o: int, q: int) -> bool:
     """True when o divides q^i - 1 for some odd i (the unitary analogue):
     equivalently the multiplicative order of q modulo o is odd."""
-    if o < 1:
-        raise ValueError(f"order must be positive, got {o}")
-    if gcd(o, q) != 1:
-        raise ValueError(f"order {o} and field size {q} are not coprime")
+    _check_order_and_field(o, q)
     return mult_order(q, o) % 2 == 1
 
 

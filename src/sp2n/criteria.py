@@ -11,7 +11,7 @@ each distinct canonical form its generator choices take (`tori.zero_forms`).
 from dataclasses import dataclass
 
 from .elements import SemisimpleElement, has_eigenvalue_one_omega_n, singer_height_fast, singer_index_element
-from .reps import ModuleKind, twist_decompose, weight_set
+from .reps import ModuleKind, weight_set
 from .tori import TorusShape, singer_index, t_sharp, trivial_constituent, zero_at, zero_forms
 from .weights import Weight, delta, fundamental, gamma, is_radical
 
@@ -62,6 +62,16 @@ def unisingular(w: Weight) -> Verdict:
     return Verdict(YES if ok else NO, ("Thm-si1", "Thm-fr1"))
 
 
+def _exception_index(w: Weight) -> int:
+    """The index i when w = 2^l * omega_i with i odd or i = n (the exception
+    family of Thm-th2 and Prop-p49), else 0."""
+    nonzero = [(i, a) for i, a in enumerate(w.coeffs, start=1) if a]
+    if len(nonzero) != 1:
+        return 0
+    i, a = nonzero[0]
+    return i if a & (a - 1) == 0 and (i % 2 == 1 or i == w.rank) else 0
+
+
 def prime_power_all(w: Weight) -> bool:
     """True guarantees eigenvalue 1 for every element of prime power order.
 
@@ -69,10 +79,7 @@ def prime_power_all(w: Weight) -> bool:
     index or index n.
     """
     _check_restricted(w)
-    if gamma(w) != 1:
-        return True
-    i = delta(w)  # the index of the fundamental weight
-    return not (i % 2 == 1 or i == w.rank)
+    return not _exception_index(w)
 
 
 def singer_cycle_has_one(w: Weight) -> bool:
@@ -83,14 +90,7 @@ def singer_cycle_has_one(w: Weight) -> bool:
     """
     if not w.is_dominant():
         raise ValueError(f"{w} is not dominant")
-    comps = twist_decompose(w)
-    if len(comps) != 1:
-        return True
-    mu = comps[0][1]
-    if gamma(mu) != 1:
-        return True
-    i = delta(mu)
-    return not (i % 2 == 1 or i == w.rank)
+    return not _exception_index(w)
 
 
 def torus_trivial(w: Weight, shape: TorusShape) -> Verdict:
@@ -197,26 +197,17 @@ def p49_classify(w: Weight, g: SemisimpleElement):
         raise ValueError(f"{w} is not dominant")
     if w.rank != g.rank:
         raise ValueError(f"rank mismatch: {w.rank} vs {g.rank}")
-    n = w.rank
-    comps = twist_decompose(w)
-    if not comps:
+    if w.is_zero():
         return HasOne(("Lem-pr4",))
-    if len(comps) == 1 and gamma(comps[0][1]) == 1:
-        i = delta(comps[0][1])
-        if i % 2 == 1 or i == n:
-            return FundamentalTwistException(i, ("Prop-p49", "Thm-th2"))
-    top_levels = [lvl for lvl, mu in comps if mu.coeffs[-1] == 1]
-    if not top_levels:
+    if i := _exception_index(w):
+        return FundamentalTwistException(i, ("Prop-p49", "Thm-th2"))
+    top = w.coeffs[-1]  # bit l of each coefficient is the restricted factor at twist level l
+    if not top:  # no factor holds w_n
         return HasOne(("Thm-si1", "Lem-cc2", "Lem-ft2"))
-    if len(top_levels) >= 2:
+    if top & (top - 1):  # two or more factors hold w_n
         return HasOne(("Cor-wwn",))
-    wn = fundamental(n, n)
-    nus = [(lvl, mu - wn if lvl in top_levels else mu) for lvl, mu in comps]
-    nus = [(lvl, nu) for lvl, nu in nus if not nu.is_zero()]
-    d = sum(delta(nu) for _, nu in nus)
+    # one factor, at level log2(top), holds w_n: the rest, untwisted, has delta d
+    d = sum(j * a.bit_count() for j, a in enumerate(w.coeffs, start=1)) - w.rank
     if d >= singer_index_element(g):
         return HasOne(("Thm-fr1", "Lem-tp1"))
-    base = Weight((0,) * n)
-    for lvl, nu in nus:
-        base = base + (2**lvl) * nu
-    return TensorCase(base, top_levels[0], d, ("Prop-p49",))
+    return TensorCase(Weight(w.coeffs[:-1] + (0,)), top.bit_length() - 1, d, ("Prop-p49",))

@@ -129,7 +129,7 @@ def _exterior(N: int, k: int):
 
 
 def _suite_dominance(max_n: int):
-    """Every pair of the pool against the search.  The search starts from
+    """Every pair of the pool against the walk.  The walk starts from
     eps(hi) - eps(lo) = eps(hi - lo), so its answer depends on the
     coefficient difference only: it runs once per distinct difference of a
     rank, and every pair is compared with the answer for its own.  A weight's

@@ -7,11 +7,11 @@ e_1 + ... + e_j.  The simple roots are e_i - e_{i+1} for i < n together
 with the long root 2*e_n.  All arithmetic is exact (Python integers).
 
 The closed-form dominance test (`dominates`) is a fast path; the
-subtraction search (`dominates_oracle`) is the definition of record and
-the two are cross-checked exhaustively by the test suite.  The search keeps
+subtraction walk (`dominates_oracle`) is the definition of record and
+the two are cross-checked exhaustively by the test suite.  The walk keeps
 its own copy of the pruning rule and shares one bounded, process-wide
-table of the states that passed it, so a search stops at the first state
-an earlier search has settled.
+set of the states that passed it, so a walk stops at the first state
+an earlier walk has passed.
 Dominant weights are generated, never filtered: in epsilon coordinates they
 are the partitions `arith.partitions_under` lists under prefix-sum bounds.
 A `WeightSet` holds each Weyl orbit as such a partition: its sorted magnitudes.
@@ -213,10 +213,9 @@ def dominates(hi: Weight, lo: Weight) -> bool:
     return p % 2 == 0
 
 
-# States of the subtraction search that passed its pruning rule, mapped to
-# whether the search reached zero from them; shared by every oracle call and
-# emptied when full, so it never holds more than _ORACLE_TABLE_MAX states.
-_ORACLE_TABLE: dict[tuple[int, ...], bool] = {}
+# The states the subtraction walk passed, from each of which zero is reachable;
+# shared by every oracle call and emptied when it reaches _ORACLE_TABLE_MAX.
+_ORACLE_TABLE: set[tuple[int, ...]] = set()
 _ORACLE_TABLE_MAX = 1 << 14
 
 
@@ -239,27 +238,20 @@ def _oracle_viable(v: tuple[int, ...]) -> bool:
     return total >= 0 and total % 2 == 0
 
 
-def _oracle_store(state: tuple[int, ...], reached: bool) -> None:
-    if len(_ORACLE_TABLE) >= _ORACLE_TABLE_MAX:
-        _ORACLE_TABLE.clear()
-    _ORACLE_TABLE[state] = reached
-
-
 def dominates_oracle(hi: Weight, lo: Weight) -> bool:
-    """Decide hi - lo in R+ by explicit search over simple-root subtractions.
+    """Decide hi - lo in R+ by a walk of simple-root subtractions.
 
     States are epsilon-coordinate vectors, starting from eps(hi) - eps(lo)
-    (the suffix sums of the coefficient differences); a move subtracts one
-    simple root.  A state failing `_oracle_viable` is pruned before any
-    lookup.  The search is depth-first on an explicit stack and records each
-    state it settles in the shared table, so a later call stops at the
-    first state an earlier one has settled.
+    (the suffix sums of the coefficient differences).  A start failing
+    `_oracle_viable` is pruned before any lookup; then each step subtracts
+    the first simple root whose result passes the rule, until zero or a
+    state an earlier walk passed, and the path goes into the shared table.
 
-    The rule is exact membership in the positive root cone, so the search
-    never backtracks: it takes at most height(hi - lo) steps, the sum of the
-    simple-root multiplicities P_1 + ... + P_{n-1} + P_n / 2 over the prefix
-    sums P_i of the start state, and raises WorkLimitError before it starts
-    when that is more than WORK_LIMIT.
+    The rule is exact: in prefix sums P_i each simple root lowers one P_i
+    (2e_n lowers P_n by 2), so every passing nonzero state has a passing
+    child, and the walk reaches zero without backtracking after
+    height(hi - lo) = P_1 + ... + P_{n-1} + P_n / 2 steps.  WorkLimitError
+    is raised before it starts when that is more than WORK_LIMIT.
     """
     if len(hi.coeffs) != len(lo.coeffs):
         _same_rank(hi, lo)
@@ -267,29 +259,17 @@ def dominates_oracle(hi: Weight, lo: Weight) -> bool:
     if not _oracle_viable(start):
         return False
     *short, total = accumulate(start)
-    charge(sum(short) + total // 2, "simple-root steps of a dominance search")
-    known = _ORACLE_TABLE.get(start)
-    if known is not None:
-        return known
+    charge(sum(short) + total // 2, "simple-root steps of a dominance walk")
     roots = _simple_root_coords(hi.rank)
-    seen = {start}  # bounds this search by its distinct states, whatever the table keeps
-    stack = [(start, iter(roots))]  # each frame: a state and its untried moves
-    while stack:
-        v, moves = stack[-1]
-        if not any(v) or _ORACLE_TABLE.get(v):
-            for u, _ in stack:  # each state on the stack leads to v, and v to zero
-                _oracle_store(u, True)
-            return True
-        for r in moves:
-            child = tuple(map(sub, v, r))
-            if _oracle_viable(child) and child not in seen and _ORACLE_TABLE.get(child) is not False:
-                seen.add(child)
-                stack.append((child, iter(roots)))
-                break
-        else:
-            _oracle_store(v, False)  # every move tried: zero is unreachable from v
-            stack.pop()
-    return False
+    v, path = start, [start]
+    while any(v) and v not in _ORACLE_TABLE:
+        v = next(c for c in (tuple(map(sub, v, r)) for r in roots) if _oracle_viable(c))
+        path.append(v)
+    for v in path:  # zero is reachable from every state of the path, its end included
+        if len(_ORACLE_TABLE) >= _ORACLE_TABLE_MAX:
+            _ORACLE_TABLE.clear()
+        _ORACLE_TABLE.add(v)
+    return True
 
 
 def dominant_weights_up_to(rank: int, max_delta: int) -> list[Weight]:

@@ -103,6 +103,10 @@ def test_real_by_order_sl_examples():
         real_by_order_sl(6, 2)
     with pytest.raises(ValueError):
         real_by_order_sl(0, 2)
+    for o, q in ((9, 1), (1, 0), (9, -1), (5, 6), (7, 12)):  # no field has q elements
+        with pytest.raises(ValueError, match="not a prime power"):
+            real_by_order_sl(o, q)
+    assert real_by_order_sl(2, 9) and real_by_order_sl(5, 8)  # prime powers
 
 
 def test_real_by_order_sl_brute_force():
@@ -136,6 +140,10 @@ def test_real_by_order_su_examples():
     assert real_by_order_su(1, 2)
     with pytest.raises(ValueError):
         real_by_order_su(4, 2)
+    for o, q in ((9, 1), (1, 0), (9, -1), (5, 6), (7, 12)):  # no field has q elements
+        with pytest.raises(ValueError, match="not a prime power"):
+            real_by_order_su(o, q)
+    assert real_by_order_su(7, 8) and not real_by_order_su(5, 9)  # prime powers
 
 
 def test_real_by_order_su_brute_force():

@@ -104,6 +104,9 @@ def test_usage_errors(capsys):
     assert capsys.readouterr().err == "error: cannot parse element block '1:a:-'\n"
     assert cli_main(["branch", "--N", "3", "--lambda", "1,x"]) == 2
     assert capsys.readouterr().err == "error: cannot parse lambda '1,x'\n"
+    for group, o, q in (("sl", "9", "1"), ("su", "1", "0"), ("sl", "9", "-1"), ("su", "5", "6")):
+        assert cli_main(["real", "--group", group, "--order", o, "--q", q]) == 2
+        assert capsys.readouterr().err == f"error: field size {q} is not a prime power\n"
 
 
 @pytest.mark.parametrize("suite, max_n", [("fr1", "0"), ("fr1", "-3"), ("all", "0")])

@@ -3,6 +3,8 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sp2n.arith
 import sp2n.criteria
@@ -31,9 +33,10 @@ from sp2n.elements import (
     generator_tuples,
     identity_element,
     singer_cycle,
+    singer_index_element,
     to_torus_element,
 )
-from sp2n.reps import ModuleKind, minkowski_sum, weight_set
+from sp2n.reps import ModuleKind, minkowski_sum, twist_decompose, weight_set
 from sp2n.tori import (
     TorusShape,
     enumerate_shapes,
@@ -43,7 +46,7 @@ from sp2n.tori import (
     zero_form,
     zero_forms,
 )
-from sp2n.weights import Weight, delta, fundamental, zero_weight
+from sp2n.weights import Weight, delta, fundamental, gamma, zero_weight
 
 IRR2 = ModuleKind.IRREDUCIBLE_2
 
@@ -308,6 +311,71 @@ def test_p49_hasone_is_sound():
                 for us in generator_tuples(g):
                     t = to_torus_element(g, us)
                     assert any(eval_weight(mu, t) == 0 for mu in ws), (w, g, us)
+
+
+# The twisted-weight verdicts as they read the twist decomposition, before the
+# closed forms on the coefficients' binary digits: the reference for the rewrite.
+
+
+def _ref_prime_power_all(w):
+    if gamma(w) != 1:
+        return True
+    i = delta(w)
+    return not (i % 2 == 1 or i == w.rank)
+
+
+def _ref_singer_cycle_has_one(w):
+    comps = twist_decompose(w)
+    if len(comps) != 1:
+        return True
+    mu = comps[0][1]
+    if gamma(mu) != 1:
+        return True
+    i = delta(mu)
+    return not (i % 2 == 1 or i == w.rank)
+
+
+def _ref_p49_classify(w, g):
+    n = w.rank
+    comps = twist_decompose(w)
+    if not comps:
+        return HasOne(("Lem-pr4",))
+    if len(comps) == 1 and gamma(comps[0][1]) == 1:
+        i = delta(comps[0][1])
+        if i % 2 == 1 or i == n:
+            return FundamentalTwistException(i, ("Prop-p49", "Thm-th2"))
+    top_levels = [lvl for lvl, mu in comps if mu.coeffs[-1] == 1]
+    if not top_levels:
+        return HasOne(("Thm-si1", "Lem-cc2", "Lem-ft2"))
+    if len(top_levels) >= 2:
+        return HasOne(("Cor-wwn",))
+    wn = fundamental(n, n)
+    nus = [(lvl, mu - wn if lvl in top_levels else mu) for lvl, mu in comps]
+    nus = [(lvl, nu) for lvl, nu in nus if not nu.is_zero()]
+    d = sum(delta(nu) for _, nu in nus)
+    if d >= singer_index_element(g):
+        return HasOne(("Thm-fr1", "Lem-tp1"))
+    base = Weight((0,) * n)
+    for lvl, nu in nus:
+        base = base + (2**lvl) * nu
+    return TensorCase(base, top_levels[0], d, ("Prop-p49",))
+
+
+# coefficients below 2^6, with powers of two drawn often enough to reach the
+# exception family and the tensor case
+_twisted_coeffs = st.integers(1, 6).flatmap(lambda n: st.tuples(
+    *[st.one_of(st.sampled_from((0, 1, 2, 4, 8, 16, 32)), st.integers(0, 63))] * n))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_twisted_coeffs)
+def test_twisted_verdicts_match_twist_decomposition(coeffs):
+    w = Weight(coeffs)
+    assert singer_cycle_has_one(w) == _ref_singer_cycle_has_one(w)
+    restricted = Weight(tuple(a & 1 for a in coeffs))
+    assert prime_power_all(restricted) == _ref_prime_power_all(restricted)
+    for g in enumerate_elements(w.rank):
+        assert p49_classify(w, g) == _ref_p49_classify(w, g), g
 
 
 def test_verdict_payload():

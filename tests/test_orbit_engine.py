@@ -14,12 +14,13 @@ against the set-based engine the bitset masks replaced, kept here as
 from functools import cache
 from itertools import permutations, product
 from math import gcd, prod
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sp2n import arith, tori
+from sp2n import arith, harness, tori
 from sp2n.arith import WorkLimitError
 from sp2n.criteria import singer_cycle_has_one, th7_blocks
 from sp2n.elements import SemisimpleElement, enumerate_elements, generator_tuples, to_torus_element
@@ -461,3 +462,17 @@ def test_wide_block_zero_test_is_refused_before_any_pass(monkeypatch):
 
 def test_zero_cache_is_bounded():
     assert 0 < tori._zero.cache_info().maxsize < 1 << 20
+
+
+def test_zero_at_matches_streamed_members_at_rank_8():
+    # past the ranks the listed references reach: every small restricted
+    # L(w) of rank 8 against every distinct form of the element oracles'
+    # route, by one dot product per streamed member
+    small = [(w, ws) for w in map(Weight, product((0, 1), repeat=8)) if len(ws := weight_set(w)) <= 5000]
+    forms = {form for _, pairs in harness._element_forms(8) for _, form in pairs}
+    assert len(small) == 12 and len(forms) == 256  # the zero weight and 11 others
+    for w, ws in small:
+        members = list(ws.member_coords())
+        for m, c in forms:
+            streamed = any(sum(map(mul, c, mu)) % m == 0 for mu in members)
+            assert zero_at(ws, (m, c)) == streamed, (w, (m, c))

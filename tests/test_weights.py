@@ -1,5 +1,6 @@
 from functools import cache
-from itertools import product
+from itertools import accumulate, product
+from operator import sub
 
 import pytest
 from hypothesis import given, settings
@@ -122,7 +123,7 @@ def test_dominates_matches_search_past_the_suite_cap(pair):
 
 
 def test_dominates_oracle_long_chain():
-    # 5,000 subtractions of the long root, on an explicit stack
+    # 5,000 subtractions of the long root, in one loop
     assert dominates_oracle(Weight((10000,)), zero_weight(1))
     assert not dominates_oracle(Weight((10001,)), zero_weight(1))
 
@@ -138,7 +139,7 @@ def test_dominates_oracle_work_is_counted_before_it_starts(monkeypatch):
     assert not dominates_oracle(lo, hi)  # pruned at the start: nothing to count
     monkeypatch.setattr(arith, "WORK_LIMIT", 7)
     assert dominates_oracle(hi, lo)
-    assert weights._ORACLE_TABLE[(2, 1, 1)]
+    assert (2, 1, 1) in weights._ORACLE_TABLE
     monkeypatch.setattr(arith, "WORK_LIMIT", 6)
     with pytest.raises(WorkLimitError):  # counted before the table is read
         dominates_oracle(hi, lo)
@@ -153,11 +154,8 @@ _triples = st.integers(1, 6).flatmap(lambda n: st.tuples(*[st.sampled_from(_pool
 
 
 def _table_is_sound():
-    # every settled state agrees with the closed form on that difference
-    return all(
-        reached == dominates(from_eps(EpsWeight(v)), zero_weight(len(v)))
-        for v, reached in weights._ORACLE_TABLE.items()
-    )
+    # zero is reachable from every stored state, by the closed form on that difference
+    return all(dominates(from_eps(EpsWeight(v)), zero_weight(len(v))) for v in weights._ORACLE_TABLE)
 
 
 @settings(deadline=None)
@@ -173,6 +171,26 @@ def test_dominates_oracle_table_cold_and_warm(triple):
     warm = dominates_oracle(hi, lo)
     assert cold == warm == dominates_oracle(hi, lo) == dominates(hi, lo)
     assert _table_is_sound()
+
+
+def _height(hi, lo):
+    # the simple-root multiplicities of hi - lo: P_1 + ... + P_{n-1} + P_n / 2
+    *short, total = accumulate(map(sub, to_eps(hi).coords, to_eps(lo).coords))
+    return sum(short) + total // 2
+
+
+@settings(deadline=None)
+@given(_triples)
+def test_dominates_oracle_walks_without_detour(triple):
+    # from a cold table, a dominating pair stores its path and nothing else:
+    # one state per simple-root step, and zero
+    for hi in triple:
+        for lo in triple:
+            if dominates(hi, lo):
+                weights._ORACLE_TABLE.clear()
+                assert dominates_oracle(hi, lo)
+                assert len(weights._ORACLE_TABLE) == _height(hi, lo) + 1
+                assert (0,) * hi.rank in weights._ORACLE_TABLE
 
 
 def test_dominates_oracle_table_bounded(monkeypatch):
