@@ -1,9 +1,10 @@
 """Small exact integer helpers: multiplicative orders, trial-division
 factoring, the totient and partition counts that size enumerations, and
-the partition generator behind every dominant-weight enumeration."""
+the generators of partitions (every dominant-weight enumeration) and of
+block multisets (the torus classes and the semisimple elements)."""
 
-from collections.abc import Iterator, Sequence
-from itertools import accumulate
+from collections.abc import Callable, Iterator, Sequence
+from itertools import accumulate, combinations_with_replacement, product
 from math import gcd, isqrt, prod
 
 WORK_LIMIT = 10**6  # most steps of any enumeration whose size comes from the input
@@ -79,6 +80,25 @@ def partitions_under(bounds: Sequence[int]) -> Iterator[tuple[int, ...]]:
                 yield tuple(parts[:i + 1]) + (0,) * (n - i - 1)
 
     return rec(0, 0, caps[0])
+
+
+def block_multisets(n: int, blocks_of: Callable[[int], Sequence[tuple]]) -> Iterator[tuple]:
+    """Each multiset of blocks with sizes summing to n, blocks_of(k) listing
+    those of size k, once, as one tuple: partition by partition in
+    `partitions_under` order, sizes largest first, each size's blocks picked
+    with repetition.  Before yielding, charges the multisets, the x^n
+    coefficient of prod_k (1 - x^k)^(-len(blocks_of(k))), after each k."""
+    blocks, count = {}, [1] + [0] * n
+    for k in range(1, n + 1):
+        blocks[k] = blocks_of(k)
+        for _ in blocks[k]:
+            for d in range(k, n + 1):
+                count[d] += count[d - k]
+        charge(count[n], f"block multisets of rank {n}")  # a lower bound until k = n
+    for parts in partitions_under((n,) * n):
+        if sum(parts) == n:
+            picks = (combinations_with_replacement(blocks[k], parts.count(k)) for k in dict.fromkeys(parts) if k)
+            yield from (sum(pick, ()) for pick in product(*picks))
 
 
 def factorize(m: int) -> dict[int, int]:

@@ -4,12 +4,12 @@ Exit codes: 0 success or suite pass, 1 verdict mismatch under --expect,
 2 usage error (also an order that trial division up to arith.FACTOR_BOUND
 cannot factor, or a field size that is not a prime power), 3 suite failure, 4 work limit exceeded: a count passed
 to arith.charge is more than arith.WORK_LIMIT = 10^6, either the steps an
-enumeration sized by the input would take (torus classes, partitions
-under the dominant-weight bounds, which bound every weight set, the
-height of a dominance walk, the block coefficients and the form picks
-of the direct evaluation behind `element`, or the weight coefficients
-`branch --N` would print: n for each exterior power's factor, about
-N^3/16 in all) or the running tally of the mask words held by the zero
+enumeration sized by the input would take (the torus classes `tori`
+lists, counted as block multisets, partitions under the dominant-weight
+bounds, which bound every weight set, the height of a dominance walk,
+the block coefficients and the form picks of the direct evaluation
+behind `element`, or the weight coefficients `branch --N` would print:
+n for each exterior power's factor, about N^3/16 in all) or the running tally of the mask words held by the zero
 kernel behind `torus-trivial` and `element`.
 """
 

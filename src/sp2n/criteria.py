@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .elements import SemisimpleElement, has_eigenvalue_one_omega_n, singer_height_fast, singer_index_element
 from .reps import ModuleKind, weight_set
 from .tori import TorusShape, singer_index, t_sharp, trivial_constituent, zero_at, zero_forms
-from .weights import Weight, delta, fundamental, gamma, is_radical
+from .weights import Weight, delta, gamma, is_radical
 
 YES = "yes"
 NO = "no"
@@ -156,12 +156,11 @@ def th7_blocks(w: Weight, block_sizes: list[int], kind: ModuleKind = ModuleKind.
 
 def p88_guarantee(g: SemisimpleElement) -> bool:
     """Eigenvalue 1 on the first and last fundamental modules guarantees
-    eigenvalue 1 in every irreducible of the ambient algebraic group."""
-    n = g.rank
-    return (
-        element_has_one(fundamental(n, 1), g).decision == YES
-        and has_eigenvalue_one_omega_n(g)
-    )
+    eigenvalue 1 in every irreducible of the ambient algebraic group.  The
+    first is the natural module: a block of order o > 1 has only the
+    eigenvalues zeta^(+-2^j), zeta a primitive o-th root of unity, so g
+    fixes a vector there iff it has an identity block."""
+    return any(o == 1 for _, o, _ in g.blocks) and has_eigenvalue_one_omega_n(g)
 
 
 @dataclass(frozen=True)

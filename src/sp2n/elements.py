@@ -16,9 +16,9 @@ height of n is the largest possible Singer index at rank n.
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
-from .arith import divisors, has_order
+from .arith import block_multisets, charge, divisors, has_order, totient
 from .tori import TorusElement, TorusShape, block_key
 
 
@@ -107,29 +107,30 @@ def singer_index_element(g: SemisimpleElement) -> int:
 def singer_height(n: int) -> tuple[int, frozenset[int]]:
     """Largest l admitting parts n_1 + ... + n_l <= n with 2^(n_i) + 1 pairwise coprime.
 
-    Exhaustive search over non-decreasing part sequences; repeated parts
-    are never coprime, so distinctness is forced by the gcd test rather
-    than assumed.  Returns the value and the first maximal witness found.
+    Exhaustive search over non-decreasing part sequences; a part joins when
+    2^p + 1 is coprime to the product of the values chosen so far.
+    Repeated parts are never coprime, so distinctness is forced by the gcd
+    test rather than assumed.  Returns the value and the first maximal
+    witness found.  Charges the running count of the parts tried.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    best_size = 0
-    best: tuple[int, ...] = ()
+    tried, best = 0, ()
 
-    def rec(start: int, budget: int, acc: list[int]) -> None:
-        nonlocal best_size, best
-        if len(acc) > best_size:
-            best_size = len(acc)
-            best = tuple(acc)
-        for p in range(start, budget + 1):
-            v = 2**p + 1
-            if all(gcd(v, 2**q + 1) == 1 for q in acc):
-                acc.append(p)
-                rec(p, budget - p, acc)
-                acc.pop()
+    def rec(start: int, budget: int, acc: tuple[int, ...], chosen: int) -> None:
+        nonlocal tried, best
+        if len(acc) > len(best):
+            best = acc
+        parts = range(start, budget + 1)
+        tried += len(parts)
+        charge(tried, f"parts tried for the Singer height of {n}")
+        for p in parts:
+            v = 1 << p | 1  # 2^p + 1
+            if gcd(v, chosen) == 1:
+                rec(p, budget - p, acc + (p,), chosen * v)
 
-    rec(1, n, [])
-    return best_size, frozenset(best)
+    rec(1, n, (), 1)
+    return len(best), frozenset(best)
 
 
 def singer_height_fast(n: int) -> tuple[int, frozenset[int]]:
@@ -190,17 +191,19 @@ def to_torus_element(g: SemisimpleElement, generators: tuple[int, ...] | None = 
 
 
 def generator_tuples(g: SemisimpleElement):
-    """All generator choices (u_1, ..., u_k), u_i a unit modulo o_i."""
+    """All generator choices (u_1, ..., u_k), u_i a unit modulo o_i.  Charges
+    their number, the product of the totients, before listing any unit."""
+    charge(prod(totient(o) for _, o, _ in g.blocks), "generator tuples")
     unit_ranges = [[u for u in range(1, o + 1) if gcd(u, o) == 1] for _, o, _ in g.blocks]
     return product(*unit_ranges)
 
 
 def valid_blocks(d: int) -> list[tuple[int, int, int]]:
-    """All minimal blocks of half-dimension d."""
+    """All minimal blocks of half-dimension d, sign -1 first, orders descending."""
     out = []
     for s in (-1, 1):
         top = 2**d - s
-        for o in divisors(top):
+        for o in reversed(divisors(top)):
             if o == 1:
                 if d == 1 and s == 1:
                     out.append((d, o, s))
@@ -213,27 +216,7 @@ def enumerate_elements(n: int) -> list[SemisimpleElement]:
     """All valid elements of rank n, one per block multiset."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    out: list[SemisimpleElement] = []
-
-    def rec(remaining: int, bound: tuple[int, int, int] | None, acc: list[tuple[int, int, int]]) -> None:
-        if remaining == 0:
-            out.append(SemisimpleElement(tuple(acc)))
-            return
-        for d in range(remaining, 0, -1):
-            for b in valid_blocks(d):
-                if bound is not None and _block_key(b) < _block_key(bound):
-                    continue
-                acc.append(b)
-                rec(remaining - d, b, acc)
-                acc.pop()
-
-    rec(n, None, [])
-    return out
-
-
-def _block_key(b: tuple[int, int, int]) -> tuple[int, int, int]:
-    d, o, s = b
-    return (-d, s, -o)
+    return [SemisimpleElement(blocks) for blocks in block_multisets(n, valid_blocks)]
 
 
 def parse_element(text: str) -> SemisimpleElement:

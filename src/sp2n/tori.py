@@ -30,7 +30,7 @@ from itertools import combinations_with_replacement, product
 from math import comb, gcd, lcm, prod
 from operator import mul
 
-from .arith import charge, partition_counts, partitions_under, totient
+from .arith import block_multisets, charge, totient
 from .weights import EpsWeight, WeightSet
 
 
@@ -114,19 +114,7 @@ def enumerate_shapes(n: int) -> list[TorusShape]:
     """All signed partitions of n, canonically ordered, no duplicates."""
     if n < 1:
         raise ValueError(f"rank must be at least 1, got {n}")
-    p = partition_counts(n, n)  # a signed partition is a pair (minus parts, plus parts)
-    charge(sum(p[j] * p[n - j] for j in range(n + 1)), f"torus classes at rank {n}")
-    shapes: list[TorusShape] = []
-    for parts in filter(lambda p: sum(p) == n, partitions_under((n,) * n)):
-        # distinct part sizes, largest first; each size gets 0..count minus signs
-        sizes = sorted(set(parts) - {0}, reverse=True)
-        counts = [parts.count(k) for k in sizes]
-        for minus in product(*(range(c, -1, -1) for c in counts)):
-            blocks = []
-            for k, c, m in zip(sizes, counts, minus):
-                blocks += [(k, -1)] * m + [(k, 1)] * (c - m)
-            shapes.append(TorusShape(tuple(blocks)))
-    return shapes
+    return [TorusShape(blocks) for blocks in block_multisets(n, lambda k: ((k, -1), (k, 1)))]
 
 
 def block_sums(mu: EpsWeight, shape: TorusShape) -> tuple[int, ...]:

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import sp2n.arith
-from sp2n.arith import WORK_LIMIT, WorkLimitError, charge, has_order, mult_order, partition_counts, partitions_under, totient
+from sp2n.arith import WORK_LIMIT, WorkLimitError, block_multisets, charge, has_order, mult_order, partition_counts, partitions_under, totient
 
 
 def _mult_order_scan(a, m):
@@ -92,3 +92,29 @@ def test_charge_is_the_only_raise_of_the_work_limit():
     package = Path(sp2n.arith.__file__).parent
     raising = [p.name for p in sorted(package.glob("*.py")) if "raise WorkLimitError" in p.read_text()]
     assert raising == ["arith.py"]
+
+
+def _partitions_of(n, max_part):
+    # the partitions of n with parts at most max_part, largest part first, largest partition first
+    if n == 0:
+        return [()]
+    return [(k,) + rest for k in range(min(n, max_part), 0, -1) for rest in _partitions_of(n - k, k)]
+
+
+def test_block_multisets_one_block_per_size_are_the_partitions():
+    for n in range(1, 12):
+        out = list(block_multisets(n, lambda k: ((k,),)))
+        assert [tuple(k for (k,) in m) for m in out] == _partitions_of(n, n), n
+        assert len(out) == partition_counts(n, n)[n]
+
+
+def test_block_multisets_refuse_before_listing_larger_blocks():
+    listed = []
+
+    def blocks_of(k):
+        listed.append(k)
+        return [(k, i) for i in range(k)]
+
+    with pytest.raises(WorkLimitError):
+        next(block_multisets(60, blocks_of))
+    assert max(listed) < 60  # refused on a lower bound, before every size is listed

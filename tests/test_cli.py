@@ -153,6 +153,16 @@ def test_work_limit_exceeded_exits_4(capsys, argv):
     assert "Traceback" not in captured.err and not captured.out
 
 
+def test_element_top_fundamental_rank_20_answers(capsys):
+    # a Thm-fr1 closed form; the p88 leg on the natural module reads the blocks
+    started = time.perf_counter()
+    assert cli_main(["element", "20:1048577:-", "--omega", ",".join(["0"] * 19 + ["1"]), "--json"]) == 0
+    assert time.perf_counter() - started < 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["p88_guarantee"] is False
+    assert out["verdict"] == {"decision": "no", "citations": ["Thm-fr1"], "fallback_used": False}
+
+
 def test_top_weights_rank_9_answer(capsys):
     # the a_n = 1 set once refused for its 2,771,968 Minkowski pairs
     started = time.perf_counter()

@@ -31,6 +31,7 @@ from sp2n.elements import (
     build_element,
     enumerate_elements,
     generator_tuples,
+    has_eigenvalue_one_omega_n,
     identity_element,
     singer_cycle,
     singer_index_element,
@@ -275,6 +276,14 @@ def test_p88_examples():
     assert not p88_guarantee(singer_cycle(2))
     assert not p88_guarantee(build_element([(3, 7, 1)]))
     assert p88_guarantee(build_element([(2, 3, 1), (1, 1, 1)]))
+
+
+def test_p88_natural_module_leg_is_the_identity_block_test():
+    # the omega_1 leg, read from the blocks, against the direct evaluation
+    for n in range(1, 8):
+        for g in enumerate_elements(n):
+            direct = element_has_one(fundamental(n, 1), g).decision == YES
+            assert p88_guarantee(g) == (direct and has_eigenvalue_one_omega_n(g)), g
 
 
 def test_p49_examples():

@@ -1,8 +1,11 @@
 from math import gcd, prod
 
+import time
+
 import pytest
 
-from sp2n.arith import totient
+import sp2n.arith
+from sp2n.arith import WorkLimitError, totient
 from sp2n.elements import (
     build_element,
     enumerate_elements,
@@ -18,6 +21,7 @@ from sp2n.elements import (
     singer_height_fast,
     singer_index_element,
     to_torus_element,
+    valid_blocks,
 )
 from sp2n.tori import eval_weight, factor_orders
 from sp2n.weights import fundamental, to_eps, weyl_orbit
@@ -167,6 +171,71 @@ def test_generator_tuple_count_is_a_totient_product():
     for n in range(1, 5):
         for g in enumerate_elements(n):
             assert len(list(generator_tuples(g))) == prod(totient(o) for _, o, _ in g.blocks), g
+
+
+def _reference_elements(n):
+    # the recursive enumeration the block-multiset generator replaced: blocks
+    # in (-d, sign, -o) order, each at or after the one before it
+    out = []
+
+    def rec(remaining, bound, acc):
+        if remaining == 0:
+            out.append(tuple(acc))
+            return
+        for d in range(remaining, 0, -1):
+            for b in valid_blocks(d):
+                if bound is not None and _block_key(b) < _block_key(bound):
+                    continue
+                acc.append(b)
+                rec(remaining - d, b, acc)
+                acc.pop()
+
+    rec(n, None, [])
+    return out
+
+
+def _block_key(b):
+    d, o, s = b
+    return (-d, s, -o)
+
+
+def test_enumerate_elements_matches_reference_recursion():
+    counts = []
+    for n in range(1, 11):
+        listed = [g.blocks for g in enumerate_elements(n)]
+        assert sorted(listed) == sorted(_reference_elements(n)), n
+        counts.append(len(listed))
+    assert counts == [2, 5, 10, 21, 39, 75, 132, 236, 405, 695]
+
+
+def test_enumerate_elements_charges_what_it_lists(monkeypatch):
+    for n in range(1, 9):
+        size = len(enumerate_elements(n))
+        with monkeypatch.context() as mp:
+            mp.setattr(sp2n.arith, "WORK_LIMIT", size - 1)
+            with pytest.raises(WorkLimitError):
+                enumerate_elements(n)
+            mp.setattr(sp2n.arith, "WORK_LIMIT", size)
+            assert len(enumerate_elements(n)) == size
+    started = time.perf_counter()
+    with pytest.raises(WorkLimitError):
+        enumerate_elements(28)  # 1,139,490 block multisets
+    assert time.perf_counter() - started < 1
+
+
+def test_singer_height_search_is_bounded():
+    # CPU time: the refusal comes after about 10^6 gcd tests, about 1.5 s
+    started = time.process_time()
+    with pytest.raises(WorkLimitError):
+        singer_height(400)
+    assert time.process_time() - started < 2
+
+
+def test_generator_tuples_refused_before_listing_units():
+    started = time.perf_counter()
+    with pytest.raises(WorkLimitError):
+        generator_tuples(singer_cycle(30))  # phi(2^30 + 1) = 760,320,000 tuples
+    assert time.perf_counter() - started < 1
 
 
 def test_to_torus_element_rejects_bad_generators():
