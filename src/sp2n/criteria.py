@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .elements import SemisimpleElement, has_eigenvalue_one_omega_n, singer_height_fast, singer_index_element
 from .reps import ModuleKind, weight_set
 from .tori import TorusShape, singer_index, t_sharp, trivial_constituent, zero_at, zero_forms
-from .weights import Weight, delta, gamma, is_radical
+from .weights import Weight, delta, gamma, highest_weight, is_radical, same_rank
 
 YES = "yes"
 NO = "no"
@@ -34,16 +34,9 @@ class Verdict:
         }
 
 
-def _check_restricted(w: Weight) -> None:
-    if not w.is_dominant():
-        raise ValueError(f"{w} is not dominant")
-    if not w.is_restricted():
-        raise ValueError(f"{w} is not 2-restricted")
-
-
 def abelian_all(w: Weight) -> Verdict:
     """Trivial constituent on every abelian subgroup (equivalently every torus)."""
-    _check_restricted(w)
+    highest_weight(w, restricted=True)
     if w.coeffs[-1] == 0:
         ok = gamma(w) > 2 or delta(w) % 2 == 0
     else:
@@ -53,7 +46,7 @@ def abelian_all(w: Weight) -> Verdict:
 
 def unisingular(w: Weight) -> Verdict:
     """Eigenvalue 1 for every group element."""
-    _check_restricted(w)
+    highest_weight(w, restricted=True)
     n = w.rank
     if w.coeffs[-1] == 0:
         bad = gamma(w) == 1 and delta(w) % 2 == 1  # w is an odd fundamental weight
@@ -78,7 +71,7 @@ def prime_power_all(w: Weight) -> bool:
     Holds for every highest weight except the fundamental ones with odd
     index or index n.
     """
-    _check_restricted(w)
+    highest_weight(w, restricted=True)
     return not _exception_index(w)
 
 
@@ -88,16 +81,13 @@ def singer_cycle_has_one(w: Weight) -> bool:
     Fails exactly for a single twisted fundamental weight with odd index
     or index n.
     """
-    if not w.is_dominant():
-        raise ValueError(f"{w} is not dominant")
-    return not _exception_index(w)
+    return not _exception_index(highest_weight(w))
 
 
 def torus_trivial(w: Weight, shape: TorusShape) -> Verdict:
     """Trivial constituent of the restriction to one torus class."""
-    _check_restricted(w)
-    if w.rank != shape.rank:
-        raise ValueError(f"rank mismatch: {w.rank} vs {shape.rank}")
+    highest_weight(w, restricted=True)
+    same_rank(w, shape)
     n = w.rank
     if w.coeffs[-1] == 1:
         ok = delta(w) >= n + singer_index(shape)
@@ -115,9 +105,8 @@ def torus_trivial(w: Weight, shape: TorusShape) -> Verdict:
 
 def element_has_one(w: Weight, g: SemisimpleElement) -> Verdict:
     """Eigenvalue 1 of one semisimple element on the irreducible of highest weight w."""
-    _check_restricted(w)
-    if w.rank != g.rank:
-        raise ValueError(f"rank mismatch: {w.rank} vs {g.rank}")
+    highest_weight(w, restricted=True)
+    same_rank(w, g)
     n = w.rank
     if w.coeffs[-1] == 1:
         ok = delta(w) >= n + singer_index_element(g)
@@ -143,8 +132,7 @@ def element_has_one(w: Weight, g: SemisimpleElement) -> Verdict:
 def th7_blocks(w: Weight, block_sizes: list[int], kind: ModuleKind = ModuleKind.IRREDUCIBLE_2) -> bool:
     """Whether every weight of the module vanishes on one of the given
     blocks of leading epsilon coordinates."""
-    if not w.is_dominant():
-        raise ValueError(f"{w} is not dominant")
+    highest_weight(w)
     if any(b < 1 for b in block_sizes):
         raise ValueError("block sizes must be positive")
     if sum(block_sizes) > w.rank:
@@ -192,10 +180,7 @@ def p49_classify(w: Weight, g: SemisimpleElement):
     untwisted base against the element's Singer index), which is a
     "not guaranteed" status rather than a proof of absence.
     """
-    if not w.is_dominant():
-        raise ValueError(f"{w} is not dominant")
-    if w.rank != g.rank:
-        raise ValueError(f"rank mismatch: {w.rank} vs {g.rank}")
+    same_rank(highest_weight(w), g)
     if w.is_zero():
         return HasOne(("Lem-pr4",))
     if i := _exception_index(w):

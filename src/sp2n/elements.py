@@ -22,6 +22,23 @@ from .arith import block_multisets, charge, divisors, has_order, totient
 from .tori import TorusElement, TorusShape, block_key
 
 
+def _block_error(d: int, o: int, s: int) -> str | None:
+    """Why (d, o, s) is not a minimal block, or None when it is: the one
+    block rule, behind the constructor and `valid_blocks` alike."""
+    if d < 1 or o < 1:
+        return f"block ({d},{o},{s}) has nonpositive fields"
+    if s not in (1, -1):
+        return f"block sign must be +1 or -1, got {s}"
+    if (2**d - s) % o != 0:
+        return f"order {o} does not divide 2^{d} {'+' if s == -1 else '-'} 1"
+    if o == 1:
+        return None if d == 1 and s == 1 else "an identity block must be (1, 1, +1)"
+    need = 2 * d if s == -1 else d
+    if not has_order(2, o, need):
+        return f"block ({d},{o},{s}) is not minimal: order of 2 mod {o} is not {need}"
+    return None
+
+
 @dataclass(frozen=True)
 class SemisimpleElement:
     """Blocks (d_i, o_i, sign_i); validated on construction."""
@@ -32,20 +49,9 @@ class SemisimpleElement:
         blocks = tuple((int(d), int(o), int(s)) for d, o, s in self.blocks)
         if not blocks:
             raise ValueError("an element needs at least one block")
-        for d, o, s in blocks:
-            if d < 1 or o < 1:
-                raise ValueError(f"block ({d},{o},{s}) has nonpositive fields")
-            if s not in (1, -1):
-                raise ValueError(f"block sign must be +1 or -1, got {s}")
-            if (2**d - s) % o != 0:
-                raise ValueError(f"order {o} does not divide 2^{d} {'+' if s == -1 else '-'} 1")
-            if o == 1:
-                if d != 1 or s != 1:
-                    raise ValueError("an identity block must be (1, 1, +1)")
-            else:
-                need = 2 * d if s == -1 else d
-                if not has_order(2, o, need):
-                    raise ValueError(f"block ({d},{o},{s}) is not minimal: order of 2 mod {o} is not {need}")
+        for block in blocks:
+            if error := _block_error(*block):
+                raise ValueError(error)
         object.__setattr__(self, "blocks", blocks)
 
     @property
@@ -111,7 +117,8 @@ def singer_height(n: int) -> tuple[int, frozenset[int]]:
     2^p + 1 is coprime to the product of the values chosen so far.
     Repeated parts are never coprime, so distinctness is forced by the gcd
     test rather than assumed.  Returns the value and the first maximal
-    witness found.  Charges the running count of the parts tried.
+    witness found.  Charges the bits of gcd work as it runs: the running
+    count of the parts tried times n, about the bits of each gcd test.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -123,7 +130,7 @@ def singer_height(n: int) -> tuple[int, frozenset[int]]:
             best = acc
         parts = range(start, budget + 1)
         tried += len(parts)
-        charge(tried, f"parts tried for the Singer height of {n}")
+        charge(tried * n, f"bits of gcd work for the Singer height of {n}")
         for p in parts:
             v = 1 << p | 1  # 2^p + 1
             if gcd(v, chosen) == 1:
@@ -200,16 +207,7 @@ def generator_tuples(g: SemisimpleElement):
 
 def valid_blocks(d: int) -> list[tuple[int, int, int]]:
     """All minimal blocks of half-dimension d, sign -1 first, orders descending."""
-    out = []
-    for s in (-1, 1):
-        top = 2**d - s
-        for o in reversed(divisors(top)):
-            if o == 1:
-                if d == 1 and s == 1:
-                    out.append((d, o, s))
-            elif has_order(2, o, 2 * d if s == -1 else d):
-                out.append((d, o, s))
-    return out
+    return [(d, o, s) for s in (-1, 1) for o in reversed(divisors(2**d - s)) if not _block_error(d, o, s)]
 
 
 def enumerate_elements(n: int) -> list[SemisimpleElement]:

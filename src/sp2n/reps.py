@@ -24,7 +24,7 @@ from itertools import accumulate
 from operator import add, le
 
 from .arith import charge
-from .weights import Weight, WeightSet, delta, is_radical, magnitudes, orbits_below, to_eps
+from .weights import Weight, WeightSet, delta, highest_weight, is_radical, magnitudes, orbits_below, same_rank, to_eps
 
 
 class ModuleKind(Enum):
@@ -38,15 +38,7 @@ def weight_set(w: Weight, kind: ModuleKind = ModuleKind.IRREDUCIBLE_2) -> Weight
     Results are memoized per (coefficients, kind); correctness does not
     depend on the cache.
     """
-    _validate(w, kind)
-    return _weight_set_cached(w.coeffs, kind)
-
-
-def _validate(w: Weight, kind: ModuleKind) -> None:
-    if not w.is_dominant():
-        raise ValueError(f"{w} is not dominant")
-    if kind is ModuleKind.IRREDUCIBLE_2 and not w.is_restricted():
-        raise ValueError(f"{w} is not 2-restricted")
+    return _weight_set_cached(highest_weight(w, kind is ModuleKind.IRREDUCIBLE_2).coeffs, kind)
 
 
 @lru_cache(maxsize=1024)  # a full verification run asks for about 313 distinct sets
@@ -65,8 +57,7 @@ def minkowski_sum(a: WeightSet, b: WeightSet) -> WeightSet:
     Weyl-stable, so the sum is the union of the orbits of r + y over the
     orbits r of one set and the members y of the other, whichever gives
     fewer pairs; raises WorkLimitError first if that is over WORK_LIMIT."""
-    if a.rank != b.rank:
-        raise ValueError(f"rank mismatch: {a.rank} vs {b.rank}")
+    same_rank(a, b)
     if len(a.orbits) * len(b) > len(b.orbits) * len(a):
         a, b = b, a
     charge(len(a.orbits) * len(b), "pairs of a Minkowski sum")
@@ -80,7 +71,7 @@ def has_zero_weight(w: Weight, kind: ModuleKind = ModuleKind.IRREDUCIBLE_2) -> b
     Weyl modules and a_n = 0 irreducibles: zero occurs iff w is radical.
     a_n = 1 irreducibles: zero occurs iff delta(w) is even and >= 2n.
     """
-    _validate(w, kind)
+    highest_weight(w, kind is ModuleKind.IRREDUCIBLE_2)
     if kind is ModuleKind.WEYL or w.coeffs[-1] == 0:
         return is_radical(w)
     return delta(w) % 2 == 0 and delta(w) >= 2 * w.rank
@@ -92,9 +83,8 @@ def twist_decompose(w: Weight) -> list[tuple[int, Weight]]:
     Each mu_level is 2-restricted and nonzero; the zero weight decomposes
     into the empty list.
     """
-    if not w.is_dominant():
-        raise ValueError(f"{w} is not dominant")
-    levels = (tuple(a >> level & 1 for a in w.coeffs) for level in range(max(w.coeffs).bit_length()))
+    top = max(highest_weight(w).coeffs)
+    levels = (tuple(a >> level & 1 for a in w.coeffs) for level in range(top.bit_length()))
     return [(level, Weight(bits)) for level, bits in enumerate(levels) if any(bits)]
 
 
@@ -106,8 +96,6 @@ def g_effective_weight_set(w: Weight) -> WeightSet:
     untwisted weight sets; the result is their Minkowski sum.  For the zero
     weight the set is {0}.
     """
-    if not w.is_dominant():
-        raise ValueError(f"{w} is not dominant")
     acc = WeightSet(w.rank, ((0,) * w.rank,))
     for _, mu in twist_decompose(w):
         acc = minkowski_sum(acc, weight_set(mu, ModuleKind.IRREDUCIBLE_2))

@@ -31,7 +31,7 @@ from math import comb, gcd, lcm, prod
 from operator import mul
 
 from .arith import block_multisets, charge, totient
-from .weights import EpsWeight, WeightSet
+from .weights import EpsWeight, WeightSet, same_rank
 
 
 def block_key(block: tuple[int, ...]) -> tuple[int, int]:
@@ -119,8 +119,7 @@ def enumerate_shapes(n: int) -> list[TorusShape]:
 
 def block_sums(mu: EpsWeight, shape: TorusShape) -> tuple[int, ...]:
     """Residues of mu on each cyclic factor, consuming coordinates in block order."""
-    if mu.rank != shape.rank:
-        raise ValueError(f"rank mismatch: {mu.rank} vs {shape.rank}")
+    same_rank(mu, shape)
     residues = []
     pos = 0
     for k, s in shape.blocks:
@@ -204,8 +203,7 @@ def _zero_in(ws: WeightSet, forms: tuple[tuple[int, tuple[int, ...]], ...]) -> b
 def trivial_constituent(ws: WeightSet, shape: TorusShape) -> bool:
     """True when some weight of ws restricts trivially to the torus: its
     block sum over offsets j, worth 2^j, vanishes modulo every 2^k - sign."""
-    if ws.rank != shape.rank:
-        raise ValueError(f"rank mismatch: {ws.rank} vs {shape.rank}")
+    same_rank(ws, shape)
     return _zero_in(ws, tuple((2**k - s, tuple(1 << j for j in range(k))) for k, s in shape.blocks))
 
 
@@ -295,8 +293,7 @@ def eval_weight(mu: EpsWeight, t: TorusElement) -> int:
 
     Zero means the character value is 1.
     """
-    if mu.rank != t.shape.rank:
-        raise ValueError(f"rank mismatch: {mu.rank} vs {t.shape.rank}")
+    same_rank(mu, t.shape)
     L, c = eval_coefficients(t)
     return sum(map(mul, c, mu.coords)) % L
 
@@ -308,8 +305,7 @@ def unisingular_on_torus(ws: WeightSet, shape: TorusShape) -> bool:
     `zero_at`; errors out, not truncating, when any of their charges is
     over the work limit.
     """
-    if ws.rank != shape.rank:
-        raise ValueError(f"rank mismatch: {ws.rank} vs {shape.rank}")
+    same_rank(ws, shape)
     if trivial_constituent(ws, shape):
         return True  # a weight trivial on the whole torus covers every element
     return all(zero_at(ws, f) for f in zero_forms(((k, 2**k - s) for k, s in shape.blocks), units=False))

@@ -54,11 +54,11 @@ class Weight:
         return not any(self.coeffs)
 
     def __add__(self, other: "Weight") -> "Weight":
-        _same_rank(self, other)
+        same_rank(self, other)
         return Weight(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "Weight") -> "Weight":
-        _same_rank(self, other)
+        same_rank(self, other)
         return Weight(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __rmul__(self, k: int) -> "Weight":
@@ -84,7 +84,7 @@ class EpsWeight:
         return len(self.coords)
 
     def __add__(self, other: "EpsWeight") -> "EpsWeight":
-        _same_rank(self, other)
+        same_rank(self, other)
         return EpsWeight(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self) -> "EpsWeight":
@@ -130,9 +130,20 @@ class WeightSet:
             yield from _arrangements(m)
 
 
-def _same_rank(a, b) -> None:
+def same_rank(a, b) -> None:
+    """The one rank rule: raises ValueError unless a and b have one rank."""
     if a.rank != b.rank:
         raise ValueError(f"rank mismatch: {a.rank} vs {b.rank}")
+
+
+def highest_weight(w: Weight, restricted: bool = False) -> Weight:
+    """w, checked as a highest weight: the one place that raises ValueError
+    when w is not dominant, or, with restricted, not 2-restricted."""
+    if not w.is_dominant():
+        raise ValueError(f"{w} is not dominant")
+    if restricted and not w.is_restricted():
+        raise ValueError(f"{w} is not 2-restricted")
+    return w
 
 
 def zero_weight(rank: int) -> Weight:
@@ -202,7 +213,7 @@ def dominates(hi: Weight, lo: Weight) -> bool:
     all must be nonnegative integers.
     """
     if len(hi.coeffs) != len(lo.coeffs):
-        _same_rank(hi, lo)
+        same_rank(hi, lo)
     e = sum(hi.coeffs) - sum(lo.coeffs)  # e_1
     p = 0
     for a, b in zip(hi.coeffs, lo.coeffs):
@@ -254,7 +265,7 @@ def dominates_oracle(hi: Weight, lo: Weight) -> bool:
     is raised before it starts when that is more than WORK_LIMIT.
     """
     if len(hi.coeffs) != len(lo.coeffs):
-        _same_rank(hi, lo)
+        same_rank(hi, lo)
     start = tuple(accumulate(map(sub, reversed(hi.coeffs), reversed(lo.coeffs))))[::-1]
     if not _oracle_viable(start):
         return False
@@ -282,9 +293,7 @@ def dominant_weights_up_to(rank: int, max_delta: int) -> list[Weight]:
 def orbits_below(w: Weight) -> Iterator[tuple[int, ...]]:
     """The epsilon coordinates of every dominant mu with dominates(w, mu), w included, generated:
     the partitions under the prefix sums of eps(w) with the parity of delta(w)."""
-    if not w.is_dominant():
-        raise ValueError(f"{w} is not dominant")
-    parity = delta(w) % 2
+    parity = delta(highest_weight(w)) % 2
     return (mu for mu in partitions_under(list(accumulate(to_eps(w).coords))) if sum(mu) % 2 == parity)
 
 

@@ -255,3 +255,15 @@ def test_fallback_sized_by_weights_not_torus(capsys):
         out = json.loads(capsys.readouterr().out)
         assert out["decision"] == "no" and out["fallback_used"] is True
     assert time.perf_counter() - started < 1
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["real", "--group", "sl", "--order", "1000000007", "--q", "2", "--json"], "real", False),
+    (["weights", "8", "1,1,1,1,1,1,1,0", "--json"], "cardinality", "487066705"),
+], ids=["real-sl-order-1000000007", "weights-8-487066705"])
+def test_queries_once_left_out_of_the_pool_answer(capsys, argv, key, value):
+    # both were too slow to answer when the recorded query pool was drawn
+    started = time.perf_counter()
+    assert cli_main(argv) == 0
+    assert time.perf_counter() - started < 1
+    assert json.loads(capsys.readouterr().out)[key] == value

@@ -1,11 +1,20 @@
 """Static checks on the package source: no unused imports, no private
-helper that nothing calls."""
+helper that nothing calls, and each input rule (a dominant or 2-restricted
+highest weight, a minimal block) raised from one function, with the
+messages pinned through the public functions."""
 
 import ast
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import sp2n
+from sp2n.criteria import abelian_all, element_has_one, p49_classify, singer_cycle_has_one, th7_blocks, torus_trivial
+from sp2n.elements import build_element, identity_element
+from sp2n.reps import g_effective_weight_set, has_zero_weight, minkowski_sum, twist_decompose, weight_set
+from sp2n.tori import TorusElement, TorusShape, block_sums, eval_weight, trivial_constituent, unisingular_on_torus
+from sp2n.weights import EpsWeight, Weight, fundamental, orbits_below
 
 SOURCES = {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(Path(sp2n.__file__).parent.glob("*.py"))}
 
@@ -40,3 +49,72 @@ def test_every_private_function_is_referenced():
             if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
                 outside = everywhere[node.name] - _referenced(node)[node.name]
                 assert outside > 0, (name, node.name)
+
+
+def _constants_by_function(tree: ast.Module):
+    """(function name, string) for each string constant, docstrings aside,
+    under its innermost enclosing function, f-string parts included."""
+    docs = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+        and node.body and isinstance(node.body[0], ast.Expr) and isinstance(node.body[0].value, ast.Constant)
+    }
+
+    def visit(node: ast.AST, owner: str | None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                yield from visit(child, child.name)
+            elif isinstance(child, ast.Constant) and isinstance(child.value, str) and id(child) not in docs:
+                yield owner, child.value
+            else:
+                yield from visit(child, owner)
+
+    return visit(tree, None)
+
+
+@pytest.mark.parametrize("phrase", [" is not dominant", " is not 2-restricted", " is not minimal"])
+def test_each_input_rule_is_written_once(phrase):
+    owners = {
+        (name, owner)
+        for name, tree in SOURCES.items()
+        for owner, text in _constants_by_function(tree)
+        if phrase in text
+    }
+    assert len(owners) == 1, sorted(owners, key=str)
+
+
+BAD, WIDE, T3 = Weight((1, -1)), Weight((2, 0)), TorusShape(((3, -1),))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: abelian_all(BAD), "1,-1 is not dominant"),
+    (lambda: weight_set(BAD), "1,-1 is not dominant"),
+    (lambda: orbits_below(BAD), "1,-1 is not dominant"),
+    (lambda: has_zero_weight(BAD), "1,-1 is not dominant"),
+    (lambda: twist_decompose(BAD), "1,-1 is not dominant"),
+    (lambda: g_effective_weight_set(BAD), "1,-1 is not dominant"),
+    (lambda: singer_cycle_has_one(BAD), "1,-1 is not dominant"),
+    (lambda: th7_blocks(BAD, [1]), "1,-1 is not dominant"),
+    (lambda: p49_classify(BAD, identity_element(2)), "1,-1 is not dominant"),
+    (lambda: abelian_all(WIDE), "2,0 is not 2-restricted"),
+    (lambda: weight_set(WIDE), "2,0 is not 2-restricted"),
+    (lambda: has_zero_weight(WIDE), "2,0 is not 2-restricted"),
+    (lambda: torus_trivial(Weight((0, 1)), T3), "rank mismatch: 2 vs 3"),
+    (lambda: element_has_one(Weight((0, 1)), identity_element(3)), "rank mismatch: 2 vs 3"),
+    (lambda: p49_classify(Weight((0, 1)), identity_element(3)), "rank mismatch: 2 vs 3"),
+    (lambda: minkowski_sum(weight_set(fundamental(2, 1)), weight_set(fundamental(3, 1))), "rank mismatch: 2 vs 3"),
+    (lambda: block_sums(EpsWeight((1, 0)), T3), "rank mismatch: 2 vs 3"),
+    (lambda: trivial_constituent(weight_set(fundamental(2, 1)), T3), "rank mismatch: 2 vs 3"),
+    (lambda: unisingular_on_torus(weight_set(fundamental(2, 1)), T3), "rank mismatch: 2 vs 3"),
+    (lambda: eval_weight(EpsWeight((1, 0)), TorusElement(T3, (1,))), "rank mismatch: 2 vs 3"),
+    (lambda: build_element([(0, 1, 1)]), "block (0,1,1) has nonpositive fields"),
+    (lambda: build_element([(1, 3, 2)]), "block sign must be +1 or -1, got 2"),
+    (lambda: build_element([(2, 3, -1)]), "order 3 does not divide 2^2 + 1"),
+    (lambda: build_element([(2, 1, 1)]), "an identity block must be (1, 1, +1)"),
+    (lambda: build_element([(1, 3, -1), (3, 3, -1)]), "block (3,3,-1) is not minimal: order of 2 mod 3 is not 6"),
+])
+def test_input_rule_messages(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert type(caught.value) is ValueError and str(caught.value) == message

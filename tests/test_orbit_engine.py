@@ -11,6 +11,7 @@ against the set-based engine the bitset masks replaced, kept here as
 `_ref_codes`, and against `eval_weight`.
 """
 
+import random
 from functools import cache
 from itertools import permutations, product
 from math import gcd, prod
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sp2n import arith, harness, tori
+from sp2n import arith, tori
 from sp2n.arith import WorkLimitError
 from sp2n.criteria import singer_cycle_has_one, th7_blocks
 from sp2n.elements import SemisimpleElement, enumerate_elements, generator_tuples, to_torus_element
@@ -28,6 +29,7 @@ from sp2n.reps import ModuleKind, weight_set
 from sp2n.tori import (
     TorusElement,
     TorusShape,
+    block_sums,
     enumerate_shapes,
     eval_weight,
     factor_orders,
@@ -35,6 +37,7 @@ from sp2n.tori import (
     value_mask,
     zero_at,
     zero_form,
+    zero_forms,
 )
 from sp2n.weights import (
     EpsWeight,
@@ -464,15 +467,33 @@ def test_zero_cache_is_bounded():
     assert 0 < tori._zero.cache_info().maxsize < 1 << 20
 
 
-def test_zero_at_matches_streamed_members_at_rank_8():
+@pytest.mark.parametrize("n, sets", [(8, 12), (9, 9)])
+def test_zero_at_matches_streamed_members(n, sets):
     # past the ranks the listed references reach: every small restricted
-    # L(w) of rank 8 against every distinct form of the element oracles'
-    # route, by one dot product per streamed member
-    small = [(w, ws) for w in map(Weight, product((0, 1), repeat=8)) if len(ws := weight_set(w)) <= 5000]
-    forms = {form for _, pairs in harness._element_forms(8) for _, form in pairs}
-    assert len(small) == 12 and len(forms) == 256  # the zero weight and 11 others
+    # L(w) of rank n against every distinct form of the elements' generator
+    # choices, by one dot product per streamed member
+    small = [(w, ws) for w in map(Weight, product((0, 1), repeat=n)) if len(ws := weight_set(w)) <= 5000]
+    forms = {f for g in enumerate_elements(n) for f in zero_forms(((d, o) for d, o, _ in g.blocks), units=True)}
+    assert len(small) == sets and len(forms) == 2**n  # the zero weight among the sets
     for w, ws in small:
         members = list(ws.member_coords())
         for m, c in forms:
             streamed = any(sum(map(mul, c, mu)) % m == 0 for mu in members)
             assert zero_at(ws, (m, c)) == streamed, (w, (m, c))
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_trivial_constituent_matches_streamed_block_sums(n):
+    # the multi-block path of the zero kernel against the block residues of
+    # every streamed member, one rank past the reference engine's reach
+    rng = random.Random(0)
+    multi = [sh for sh in enumerate_shapes(n) if len(sh.blocks) > 1]
+    outcomes = []
+    for w in map(Weight, product((0, 1), repeat=n)):
+        if len(ws := weight_set(w)) > 2000:
+            continue
+        for shape in rng.sample(multi, 8):
+            streamed = any(not any(block_sums(EpsWeight(mu), shape)) for mu in ws.member_coords())
+            assert trivial_constituent(ws, shape) == streamed, (w, shape)
+            outcomes.append(streamed)
+    assert True in outcomes and False in outcomes
