@@ -5,7 +5,7 @@ block multisets (the torus classes and the semisimple elements)."""
 
 from collections.abc import Callable, Iterator, Sequence
 from itertools import accumulate, combinations_with_replacement, product
-from math import gcd, isqrt, prod
+from math import comb, gcd, isqrt, prod
 
 WORK_LIMIT = 10**6  # most steps of any enumeration whose size comes from the input
 FACTOR_BOUND = 10**6  # largest trial divisor
@@ -52,11 +52,17 @@ def totient(m: int) -> int:
 
 
 def partition_counts(max_part: int, total: int) -> list[int]:
-    """p[d] = number of partitions of d into parts of size at most max_part, d = 0..total."""
+    """p[d] = number of partitions of d into parts of size at most max_part, d = 0..total.
+    Raises WorkLimitError as soon as the partitions counted so far exceed
+    WORK_LIMIT: the total + 1 into ones before the list of total + 1 counts is
+    made, then sum(p) after each part size, a lower bound of the final sum."""
+    what = f"partitions of sum <= {total}"
+    charge(total + 1, what)
     p = [1] + [0] * total
-    for k in range(1, max_part + 1):
+    for k in range(1, min(max_part, total) + 1):  # a larger part fits no sum up to total
         for d in range(k, total + 1):
             p[d] += p[d - k]
+        charge(sum(p), what)
     return p
 
 
@@ -67,7 +73,7 @@ def partitions_under(bounds: Sequence[int]) -> Iterator[tuple[int, ...]]:
     WorkLimitError first when the partitions into len(bounds) parts with sum at
     most bounds[-1], a superset of the output, exceed WORK_LIMIT."""
     n = len(bounds)
-    charge(sum(partition_counts(n, bounds[-1])), f"partitions of sum <= {bounds[-1]}")
+    partition_counts(n, bounds[-1])  # charges that superset as it counts it
     caps = list(accumulate(reversed(bounds), min))[::-1]  # prefix sums never decrease
     parts = [0] * n
 
@@ -87,14 +93,20 @@ def block_multisets(n: int, blocks_of: Callable[[int], Sequence[tuple]]) -> Iter
     those of size k, once, as one tuple: partition by partition in
     `partitions_under` order, sizes largest first, each size's blocks picked
     with repetition.  Before yielding, charges the multisets, the x^n
-    coefficient of prod_k (1 - x^k)^(-len(blocks_of(k))), after each k."""
-    blocks, count = {}, [1] + [0] * n
+    coefficient of prod_k (1 - x^k)^(-len(blocks_of(k))), as it counts them:
+    first those of size-1 blocks alone, before any list sized by n is made,
+    then the count so far after each block, a lower bound until the last."""
+    what = f"block multisets of rank {n}"
+    blocks = {1: blocks_of(1)}
+    charge(comb(n + len(blocks[1]) - 1, n), what)
+    count = [1] + [0] * n
     for k in range(1, n + 1):
-        blocks[k] = blocks_of(k)
+        if k > 1:
+            blocks[k] = blocks_of(k)
         for _ in blocks[k]:
             for d in range(k, n + 1):
                 count[d] += count[d - k]
-        charge(count[n], f"block multisets of rank {n}")  # a lower bound until k = n
+            charge(count[n], what)
     for parts in partitions_under((n,) * n):
         if sum(parts) == n:
             picks = (combinations_with_replacement(blocks[k], parts.count(k)) for k in dict.fromkeys(parts) if k)

@@ -21,6 +21,7 @@ from functools import cache
 from .arith import WorkLimitError, charge
 from .branching import (
     GUARANTEED_ONE,
+    POSSIBLE_EXCEPTION,
     LinearWeight,
     exterior_factors,
     real_by_order_sl,
@@ -40,6 +41,10 @@ from .reps import ModuleKind, has_zero_weight, weight_set
 from .tori import enumerate_shapes, parse_torus_label, singer_index, torus_order
 from .weights import Weight, from_eps, parse_weight
 
+# what a command handler returns: its JSON payload, its text lines, and the
+# decision that --expect is compared with
+Answer = tuple[dict, list[str], str | bool | None]
+
 
 def _weight_arg(text: str, rank: int) -> Weight:
     w = parse_weight(text)
@@ -50,29 +55,13 @@ def _weight_arg(text: str, rank: int) -> Weight:
     return w
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if getattr(args, "json", False):
-        print(json.dumps(payload))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def _verdict_exit(args, decision: str) -> int:
-    expect = getattr(args, "expect", None)
-    if expect is not None and decision != expect:
-        return 1
-    return 0
-
-
-def _cmd_si(args) -> int:
+def _cmd_si(args) -> Answer:
     value, witness = singer_height_fast(args.n)
     payload = {"n": str(args.n), "si": str(value), "witness": [str(p) for p in sorted(witness)]}
-    _emit(args, payload, [f"Si({args.n}) = {value}  witness parts: {sorted(witness)}"])
-    return 0
+    return payload, [f"Si({args.n}) = {value}  witness parts: {sorted(witness)}"], None
 
 
-def _cmd_tori(args) -> int:
+def _cmd_tori(args) -> Answer:
     shapes = enumerate_shapes(args.n)
     payload = {
         "n": str(args.n),
@@ -81,12 +70,10 @@ def _cmd_tori(args) -> int:
             for sh in shapes
         ],
     }
-    lines = [f"{str(sh):>16}  order={torus_order(sh)}  singer_index={singer_index(sh)}" for sh in shapes]
-    _emit(args, payload, lines)
-    return 0
+    return payload, [f"{str(sh):>16}  order={torus_order(sh)}  singer_index={singer_index(sh)}" for sh in shapes], None
 
 
-def _cmd_weights(args) -> int:
+def _cmd_weights(args) -> Answer:
     w = _weight_arg(args.omega, args.n)
     kind = ModuleKind.WEYL if args.kind == "weyl" else ModuleKind.IRREDUCIBLE_2
     ws = weight_set(w, kind)
@@ -95,38 +82,35 @@ def _cmd_weights(args) -> int:
         "n": str(args.n),
         "omega": str(w),
         "kind": args.kind,
-        "cardinality": str(len(ws)),
+        "cardinality": str(ws.size),
         "dominant_members": [str(m) for m in ws.reps],
         "has_zero_weight": zero,
     }
     lines = [
         f"weights: {payload['cardinality']}",
-        "dominant members: " + "; ".join(str(m) for m in ws.reps),
+        "dominant members: " + "; ".join(payload["dominant_members"]),
         f"zero weight: {'yes' if zero else 'no'}",
     ]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines, None
 
 
-def _cmd_unisingular(args) -> int:
+def _cmd_unisingular(args) -> Answer:
     w = _weight_arg(args.omega, args.n)
     v = unisingular(w)
-    _emit(args, v.to_dict(), [f"unisingular: {v.decision}  citations: {', '.join(v.citations)}"])
-    return _verdict_exit(args, v.decision)
+    return v.to_dict(), [f"unisingular: {v.decision}  citations: {', '.join(v.citations)}"], v.decision
 
 
-def _cmd_torus_trivial(args) -> int:
+def _cmd_torus_trivial(args) -> Answer:
     w = _weight_arg(args.omega, args.n)
     shape = parse_torus_label(args.torus)
     v = torus_trivial(w, shape)
-    _emit(args, v.to_dict(), [
+    return v.to_dict(), [
         f"trivial constituent on {shape}: {v.decision}"
         f"  citations: {', '.join(v.citations)}  fallback: {v.fallback_used}"
-    ])
-    return _verdict_exit(args, v.decision)
+    ], v.decision
 
 
-def _cmd_element(args) -> int:
+def _cmd_element(args) -> Answer:
     g = parse_element(args.spec)
     graph = gamma_graph(g)
     w = _weight_arg(args.omega, g.rank)
@@ -150,11 +134,10 @@ def _cmd_element(args) -> int:
         f"prime-power guarantee via first+last fundamentals: {'yes' if payload['p88_guarantee'] else 'no'}",
         f"eigenvalue 1 on weight {w}: {v.decision}  citations: {', '.join(v.citations)}  fallback: {v.fallback_used}",
     ]
-    _emit(args, payload, lines)
-    return _verdict_exit(args, v.decision)
+    return payload, lines, v.decision
 
 
-def _cmd_branch(args) -> int:
+def _cmd_branch(args) -> Answer:
     try:
         coeffs = tuple(int(p) for p in args.lam.split(","))
     except ValueError as exc:
@@ -183,88 +166,55 @@ def _cmd_branch(args) -> int:
     if restricted is not None:
         lines.insert(0, f"restriction to the symplectic subgroup: {restricted}")
         lines += [f"exterior power {k}: factors " + "; ".join(facs) for k, facs in factors.items()]
-    _emit(args, payload, lines)
-    return _verdict_exit(args, verdict.status)
+    return payload, lines, verdict.status
 
 
-def _cmd_real(args) -> int:
+def _cmd_real(args) -> Answer:
     fn = real_by_order_sl if args.group == "sl" else real_by_order_su
     result = fn(args.order, args.q)
     payload = {"group": args.group, "order": str(args.order), "q": str(args.q), "real": result}
-    _emit(args, payload, [f"real by order condition: {'yes' if result else 'no'}"])
-    return 0
+    return payload, [f"real by order condition: {'yes' if result else 'no'}"], None
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> Answer:
     report = run_suite(args.suite, args.max_n)
-    print(report.to_json())
-    if not report.passed:
-        return 3
-    return 0
+    return report.to_dict(), [], report.passed
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sp2n", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("si", help="Singer height with witness")
-    p.add_argument("n", type=int)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_si)
-
-    p = sub.add_parser("tori", help="list torus classes with orders and Singer indices")
-    p.add_argument("n", type=int)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_tori)
-
-    p = sub.add_parser("weights", help="weight set of a module")
-    p.add_argument("n", type=int)
-    p.add_argument("omega")
-    p.add_argument("--kind", choices=("irr2", "weyl"), default="irr2")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_weights)
-
-    p = sub.add_parser("unisingular", help="eigenvalue 1 for every group element?")
-    p.add_argument("n", type=int)
-    p.add_argument("omega")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--expect", choices=("yes", "no"))
-    p.set_defaults(fn=_cmd_unisingular)
-
-    p = sub.add_parser("torus-trivial", help="trivial constituent on one torus class?")
-    p.add_argument("n", type=int)
-    p.add_argument("omega")
-    p.add_argument("--torus", required=True, help='signed label, e.g. --torus=-2 or --torus=-1,1')
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--expect", choices=("yes", "no"))
-    p.set_defaults(fn=_cmd_torus_trivial)
-
-    p = sub.add_parser("element", help="per-element verdicts from block data")
-    p.add_argument("spec", help='blocks "d:o:sign;..." e.g. "1:3:-;2:5:-"')
-    p.add_argument("--omega", required=True)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--expect", choices=("yes", "no"))
-    p.set_defaults(fn=_cmd_element)
-
-    p = sub.add_parser("branch", help="restriction of a linear-group weight")
-    p.add_argument("--N", type=int, required=True, help="ambient matrix size")
-    p.add_argument("--lambda", dest="lam", required=True, help="comma-separated coefficients")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--expect", choices=(GUARANTEED_ONE, "possible-exception"))
-    p.set_defaults(fn=_cmd_branch)
-
-    p = sub.add_parser("real", help="realness-by-order predicates")
-    p.add_argument("--group", choices=("sl", "su"), required=True)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_real)
+    n, omega, yes_no = ("n", {"type": int}), ("omega", {}), ("yes", "no")
+    for name, fn, help_text, arguments, expect in (
+        ("si", _cmd_si, "Singer height with witness", [n], None),
+        ("tori", _cmd_tori, "list torus classes with orders and Singer indices", [n], None),
+        ("weights", _cmd_weights, "weight set of a module",
+         [n, omega, ("--kind", {"choices": ("irr2", "weyl"), "default": "irr2"})], None),
+        ("unisingular", _cmd_unisingular, "eigenvalue 1 for every group element?", [n, omega], yes_no),
+        ("torus-trivial", _cmd_torus_trivial, "trivial constituent on one torus class?",
+         [n, omega, ("--torus", {"required": True, "help": "signed label, e.g. --torus=-2 or --torus=-1,1"})], yes_no),
+        ("element", _cmd_element, "per-element verdicts from block data",
+         [("spec", {"help": 'blocks "d:o:sign;..." e.g. "1:3:-;2:5:-"'}), ("--omega", {"required": True})], yes_no),
+        ("branch", _cmd_branch, "restriction of a linear-group weight",
+         [("--N", {"type": int, "required": True, "help": "ambient matrix size"}),
+          ("--lambda", {"dest": "lam", "required": True, "help": "comma-separated coefficients"})],
+         (GUARANTEED_ONE, POSSIBLE_EXCEPTION)),
+        ("real", _cmd_real, "realness-by-order predicates",
+         [("--group", {"choices": ("sl", "su"), "required": True}),
+          ("--order", {"type": int, "required": True}), ("--q", {"type": int, "required": True})], None),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.add_argument("--json", action="store_true")
+        if expect:
+            p.add_argument("--expect", choices=expect)
+        p.set_defaults(fn=fn, expect=None, mismatch_exit=1)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=SUITE_NAMES, required=True)
     p.add_argument("--max-n", type=int, default=None)
-    p.set_defaults(fn=_cmd_verify)
-
+    p.set_defaults(fn=_cmd_verify, json=True, expect=True, mismatch_exit=3)  # a report, in JSON; a failed one exits 3
     return parser
 
 
@@ -280,10 +230,12 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.fn(args)
+        payload, lines, decision = args.fn(args)
     except (ValueError, KeyError, WorkLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4 if isinstance(exc, WorkLimitError) else 2
+    print(json.dumps(payload) if args.json else "\n".join(lines))
+    return 0 if args.expect in (None, decision) else args.mismatch_exit
 
 
 def main() -> None:

@@ -29,7 +29,7 @@ def _block_error(d: int, o: int, s: int) -> str | None:
         return f"block ({d},{o},{s}) has nonpositive fields"
     if s not in (1, -1):
         return f"block sign must be +1 or -1, got {s}"
-    if (2**d - s) % o != 0:
+    if (pow(2, d, o) - s) % o != 0:
         return f"order {o} does not divide 2^{d} {'+' if s == -1 else '-'} 1"
     if o == 1:
         return None if d == 1 and s == 1 else "an identity block must be (1, 1, +1)"
@@ -100,7 +100,7 @@ def gamma_graph(g: SemisimpleElement) -> GammaGraph:
     )
     linked = {v for e in edges for v in e}
     singular = tuple(
-        i for i, (d, o, s) in enumerate(blocks) if i not in linked and o == 2**d + 1
+        i for i, (d, o, s) in enumerate(blocks) if i not in linked and o.bit_length() == d + 1 and o == 2**d + 1
     )
     return GammaGraph(k, edges, singular)
 

@@ -58,9 +58,9 @@ def minkowski_sum(a: WeightSet, b: WeightSet) -> WeightSet:
     orbits r of one set and the members y of the other, whichever gives
     fewer pairs; raises WorkLimitError first if that is over WORK_LIMIT."""
     same_rank(a, b)
-    if len(a.orbits) * len(b) > len(b.orbits) * len(a):
+    if len(a.orbits) * b.size > len(b.orbits) * a.size:
         a, b = b, a
-    charge(len(a.orbits) * len(b), "pairs of a Minkowski sum")
+    charge(len(a.orbits) * b.size, "pairs of a Minkowski sum")
     members = list(b.member_coords())  # read once, not once per orbit
     return WeightSet(a.rank, {magnitudes(map(add, r, m)) for r in a.orbits for m in members})
 

@@ -115,8 +115,12 @@ class WeightSet:
     def reps(self) -> tuple[Weight, ...]:  # the orbits' dominant weights, for display
         return tuple(Weight(_coeffs(m)) for m in self.orbits)
 
-    def __len__(self) -> int:
+    @property
+    def size(self) -> int:  # len() fails above sys.maxsize; this does not
         return sum(map(_orbit_size, self.orbits))
+
+    def __len__(self) -> int:
+        return self.size
 
     def __iter__(self) -> Iterator[EpsWeight]:
         return map(EpsWeight, self.member_coords())

@@ -118,3 +118,16 @@ def test_block_multisets_refuse_before_listing_larger_blocks():
     with pytest.raises(WorkLimitError):
         next(block_multisets(60, blocks_of))
     assert max(listed) < 60  # refused on a lower bound, before every size is listed
+
+
+def test_counts_refuse_before_a_list_sized_by_the_input():
+    # the first partial count is charged before the table of n + 1 counts is made
+    listed = []
+    with pytest.raises(WorkLimitError, match="^10000001 block multisets of rank 10000000 "):
+        next(block_multisets(10**7, lambda k: listed.append(k) or ((k, -1), (k, 1))))
+    assert listed == [1]
+    with pytest.raises(WorkLimitError, match="^10000001 partitions of sum <= 10000000 "):
+        partition_counts(2, 10**7)
+    # later partial counts are charged as they grow: two passes of 6,000, not 6,000 passes
+    with pytest.raises(WorkLimitError, match="^9003000 partitions of sum <= 5999 "):
+        partition_counts(6000, 5999)

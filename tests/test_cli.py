@@ -2,12 +2,17 @@ import contextlib
 import io
 import json
 import time
+from math import comb
+from pathlib import Path
 
 import pytest
 
 import sp2n.arith
 import sp2n.cli
 from sp2n.cli import cli_main
+from sp2n.harness import SuiteReport
+from sp2n.reps import weight_set
+from sp2n.weights import fundamental
 
 
 def test_si(capsys):
@@ -128,26 +133,33 @@ def test_verify_cap_with_no_case_exits_2(capsys, suite):
 _OMEGA_1_RANK_20 = ",".join(["1"] + ["0"] * 19)
 
 
-@pytest.mark.parametrize("argv", [
+@pytest.mark.parametrize("argv, seconds", [
     # 986,880 units modulo the block order times its 20 coefficients
-    ["element", "20:1048577:-", "--omega", _OMEGA_1_RANK_20],
+    (["element", "20:1048577:-", "--omega", _OMEGA_1_RANK_20], 2),
     # 5,259,030 picks of the 316 folded multisets of 13:8191:+ taken 3 at a time
-    ["element", "13:8191:+;13:8191:+;13:8191:+", "--omega", ",".join(["1"] + ["0"] * 38)],
+    (["element", "13:8191:+;13:8191:+;13:8191:+", "--omega", ",".join(["1"] + ["0"] * 38)], 2),
     # 9,035,539 torus classes
-    ["tori", "40"],
+    (["tori", "40"], 2),
     # 5,914,310 dominant weights with delta <= 66
-    ["weights", "12", "1,1,1,1,1,1,1,1,1,1,1,0"],
+    (["weights", "12", "1,1,1,1,1,1,1,1,1,1,1,0"], 2),
     # 4,655,293 dominant weights with delta <= 66, the candidates of the a_n = 1 rule
-    ["weights", "11", "1,1,1,1,1,1,1,1,1,1,1"],
+    (["weights", "11", "1,1,1,1,1,1,1,1,1,1,1"], 2),
     # zero-test mask words of the orbits below w_39 on a torus of order 1048575^2
-    ["torus-trivial", "40", ",".join(["0"] * 38 + ["1", "0"]), "--torus", "20,20"],
+    (["torus-trivial", "40", ",".join(["0"] * 38 + ["1", "0"]), "--torus", "20,20"], 2),
     # one mask of 2^40 - 1 bits, refused before it is allocated
-    ["torus-trivial", "40", ",".join(["0"] * 38 + ["1", "0"]), "--torus", "40"],
-], ids=["element", "element-picks", "tori", "weights", "weights-11", "zero-kernel", "zero-kernel-wide"])
-def test_work_limit_exceeded_exits_4(capsys, argv):
+    (["torus-trivial", "40", ",".join(["0"] * 38 + ["1", "0"]), "--torus", "40"], 2),
+    # the 10^7 + 1 partitions into ones, charged before a list of 10^7 + 1 counts is made
+    (["weights", "2", "10000000,0", "--kind", "weyl"], 0.1),
+    # the 10^7 + 1 multisets of size-1 blocks, charged before a list of 10^7 + 1 counts is made
+    (["tori", "10000000"], 0.1),
+    # the partitions of sum <= 5999 into parts of size <= 2, refused after two of 6000 passes
+    (["torus-trivial", "6000", ",".join(["0"] * 5998 + ["1", "0"]), "--torus=6000"], 0.1),
+], ids=["element", "element-picks", "tori", "weights", "weights-11", "zero-kernel", "zero-kernel-wide",
+        "weights-delta-10000000", "tori-10000000", "partitions-rank-6000"])
+def test_work_limit_exceeded_exits_4(capsys, argv, seconds):
     started = time.perf_counter()
     assert cli_main(argv) == 4
-    assert time.perf_counter() - started < 2
+    assert time.perf_counter() - started < seconds
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "work limit" in captured.err
     assert "Traceback" not in captured.err and not captured.out
@@ -267,3 +279,76 @@ def test_queries_once_left_out_of_the_pool_answer(capsys, argv, key, value):
     assert cli_main(argv) == 0
     assert time.perf_counter() - started < 1
     assert json.loads(capsys.readouterr().out)[key] == value
+
+
+def test_recorded_queries_answer_as_recorded():
+    # every query of the recorded pool, all --json, keeps its exit code and stdout byte for byte
+    recorded = json.loads((Path(__file__).resolve().parents[1] / "bench" / "expected" / "queries.json").read_text())
+    for q in recorded["pool"]:
+        assert _run(q["argv"])[:2] == (q["rc"], q["stdout"]), q["argv"]
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    (["si", "7"], 0, "Si(7) = 3  witness parts: [1, 2, 4]\n"),
+    (["tori", "2"], 0,
+     "              -2  order=5  singer_index=1\n"
+     "               2  order=3  singer_index=0\n"
+     "           -1,-1  order=9  singer_index=2\n"
+     "            -1,1  order=3  singer_index=1\n"
+     "             1,1  order=1  singer_index=0\n"),
+    (["weights", "2", "1,1"], 0, "weights: 12\ndominant members: 1,0; 1,1\nzero weight: no\n"),
+    (["unisingular", "3", "0,1,1", "--expect", "no"], 1, "unisingular: yes  citations: Thm-si1, Thm-fr1\n"),
+    (["torus-trivial", "2", "0,1", "--torus=-2", "--expect", "no"], 0,
+     "trivial constituent on -2: no  citations: Thm-s10  fallback: False\n"),
+    (["element", "1:3:-;2:5:-", "--omega", "0,1,1"], 0,
+     "element 1:3:-;2:5:-  order 15\n"
+     "graph edges: []  singular vertices: [0, 1]  Si(g)=2\n"
+     "top-fundamental eigenvalue orders: [15]\n"
+     "prime-power guarantee via first+last fundamentals: no\n"
+     "eigenvalue 1 on weight 0,1,1: yes  citations: Thm-fr1  fallback: False\n"),
+    (["branch", "--N", "4", "--lambda", "2,0,0", "--expect", "possible-exception"], 0,
+     "restriction to the symplectic subgroup: 2,0\n"
+     "real-element verdict: possible-exception  citations: Thm-th6, Thm-th5\n"
+     "exterior power 1: factors 1,0\n"
+     "exterior power 2: factors 0,1\n"
+     "exterior power 3: factors 1,0\n"),
+    (["branch", "--N", "3", "--lambda", "1,1", "--expect", "possible-exception"], 1,
+     "real-element verdict: guaranteed-one  citations: Lem-hg5, Cor-rq2\n"),
+    (["real", "--group", "su", "--order", "5", "--q", "2"], 0, "real by order condition: no\n"),
+    (["verify", "--suite", "counterexamples"], 0,
+     '{"suite": "counterexamples", "max_n": 6, "cases": 8, "failures": [], "pass": true, "notes": []}\n'),
+], ids=["si", "tori", "weights", "unisingular", "torus-trivial", "element", "branch", "branch-odd", "real", "verify"])
+def test_text_output_is_pinned(argv, code, out):
+    assert _run(argv) == (code, out, "")
+
+
+def test_verify_failed_report_exits_3(monkeypatch):
+    failed = SuiteReport("si", 3, 1, [{"input": "n=3", "fast": "2", "oracle": "1"}])
+    monkeypatch.setattr(sp2n.cli, "run_suite", lambda suite, max_n: failed)
+    assert _run(["verify", "--suite", "si", "--max-n", "3"]) == (3, failed.to_json() + "\n", "")
+
+
+@pytest.mark.parametrize("spec, err", [
+    ("400000000:3:-", "error: order 3 does not divide 2^400000000 + 1\n"),
+    # a minimal block (2 has order 2d modulo the prime 2d + 1) of a rank the weight does not have
+    ("50000018:100000037:-", "error: weight '1' has rank 1, expected 50000018\n"),
+], ids=["not-dividing", "minimal"])
+def test_element_of_huge_rank_refused_fast(spec, err):
+    # no power 2^d is built: the block rule reduces it modulo the order
+    started = time.perf_counter()
+    assert _run(["element", spec, "--omega", "1"]) == (2, "", err)
+    assert time.perf_counter() - started < 0.1
+
+
+def _signed_subsets(n, i):
+    """The weights of w_i at rank n: the signed subsets of size j <= i with j = i mod 2."""
+    return sum(comb(n, j) * 2**j for j in range(i % 2, i + 1, 2))
+
+
+def test_weights_cardinality_above_sys_maxsize(capsys):
+    for n, i in ((10, 5), (12, 4), (20, 9)):
+        assert len(weight_set(fundamental(n, i))) == _signed_subsets(n, i)
+    # above sys.maxsize, where len() raises OverflowError
+    assert cli_main(["weights", "50", str(fundamental(50, 25)), "--json"]) == 0
+    cardinality = json.loads(capsys.readouterr().out)["cardinality"]
+    assert cardinality == str(_signed_subsets(50, 25)) == "5306473412441530102244"

@@ -1,7 +1,8 @@
 """Static checks on the package source: no unused imports, no private
-helper that nothing calls, and each input rule (a dominant or 2-restricted
-highest weight, a minimal block) raised from one function, with the
-messages pinned through the public functions."""
+helper that nothing calls, output printed from `cli.cli_main` alone, and
+each input rule (a dominant or 2-restricted highest weight, a minimal
+block) raised from one function, with the messages pinned through the
+public functions."""
 
 import ast
 from collections import Counter
@@ -51,6 +52,25 @@ def test_every_private_function_is_referenced():
                 assert outside > 0, (name, node.name)
 
 
+def _by_function(node: ast.AST, owner: str | None = None):
+    """(function name, node) for each node under node, named by its
+    innermost enclosing function (None at module level)."""
+    for child in ast.iter_child_nodes(node):
+        yield owner, child
+        yield from _by_function(child, child.name if isinstance(child, ast.FunctionDef) else owner)
+
+
+def test_only_cli_main_prints():
+    # command handlers return their answer; cli_main prints it and picks the exit code
+    printers = {
+        (name, owner)
+        for name, tree in SOURCES.items()
+        for owner, node in _by_function(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print"
+    }
+    assert printers == {("cli.py", "cli_main")}, sorted(printers, key=str)
+
+
 def _constants_by_function(tree: ast.Module):
     """(function name, string) for each string constant, docstrings aside,
     under its innermost enclosing function, f-string parts included."""
@@ -60,17 +80,11 @@ def _constants_by_function(tree: ast.Module):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
         and node.body and isinstance(node.body[0], ast.Expr) and isinstance(node.body[0].value, ast.Constant)
     }
-
-    def visit(node: ast.AST, owner: str | None):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.FunctionDef):
-                yield from visit(child, child.name)
-            elif isinstance(child, ast.Constant) and isinstance(child.value, str) and id(child) not in docs:
-                yield owner, child.value
-            else:
-                yield from visit(child, owner)
-
-    return visit(tree, None)
+    return (
+        (owner, node.value)
+        for owner, node in _by_function(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docs
+    )
 
 
 @pytest.mark.parametrize("phrase", [" is not dominant", " is not 2-restricted", " is not minimal"])
