@@ -6,9 +6,9 @@ cannot factor, or a field size that is not a prime power), 3 suite failure, 4 wo
 to arith.charge is more than arith.WORK_LIMIT = 10^6, either the steps an
 enumeration sized by the input would take (the torus classes `tori`
 lists, counted as block multisets, partitions under the dominant-weight
-bounds, which bound every weight set, the height of a dominance walk,
-the block coefficients and the form picks of the direct evaluation
-behind `element`, or the weight coefficients `branch --N` would print:
+bounds, which bound every weight set, the rank^3 steps of inverting the
+Cartan matrix behind the dominance oracle, the block coefficients and
+the form picks of the direct evaluation behind `element`, or the weight coefficients `branch --N` would print:
 n for each exterior power's factor, about N^3/16 in all) or the running tally of the mask words held by the zero
 kernel behind `torus-trivial` and `element`.
 """

@@ -129,22 +129,22 @@ def _exterior(N: int, k: int):
 
 
 def _suite_dominance(max_n: int):
-    """Every pair of the pool against the walk.  The walk starts from
-    eps(hi) - eps(lo) = eps(hi - lo), so its answer depends on the
-    coefficient difference only: it runs once per distinct difference of a
-    rank, and every pair is compared with the answer for its own.  A weight's
+    """Every pair of the pool against the oracle.  The oracle solves for the
+    coordinates of hi - lo over the simple roots, so its answer depends on
+    the coefficient difference only: it runs once per distinct difference of
+    a rank, and every pair is compared with the answer for its own.  A weight's
     coefficients lie in [0, cap], so the digits of hi - lo in base 2 cap + 1
     lie in [-cap, cap] and one integer difference of codes keys each one."""
     base = 2 * DOMINANCE_DELTA_CAP + 1
     for n in range(1, max_n + 1):
         pool = dominant_weights_up_to(n, DOMINANCE_DELTA_CAP)
         codes = [sum(a * base**i for i, a in enumerate(w.coeffs)) for w in pool]
-        searched = {}  # code(hi) - code(lo) -> dominates_oracle(hi, lo)
+        answers = {}  # code(hi) - code(lo) -> dominates_oracle(hi, lo)
         for hi, hi_code in zip(pool, codes):
             for lo, lo_code in zip(pool, codes):
-                slow = searched.get(hi_code - lo_code)
+                slow = answers.get(hi_code - lo_code)
                 if slow is None:
-                    slow = searched[hi_code - lo_code] = dominates_oracle(hi, lo)
+                    slow = answers[hi_code - lo_code] = dominates_oracle(hi, lo)
                 yield dominates(hi, lo), slow, "n={} hi={} lo={}", (n, hi, lo)
 
 

@@ -7,11 +7,9 @@ e_1 + ... + e_j.  The simple roots are e_i - e_{i+1} for i < n together
 with the long root 2*e_n.  All arithmetic is exact (Python integers).
 
 The closed-form dominance test (`dominates`) is a fast path; the
-subtraction walk (`dominates_oracle`) is the definition of record and
-the two are cross-checked exhaustively by the test suite.  The walk keeps
-its own copy of the pruning rule and shares one bounded, process-wide
-set of the states that passed it, so a walk stops at the first state
-an earlier walk has passed.
+definition of record (`dominates_oracle`) solves for the coordinates of
+hi - lo over the simple roots with the inverse Cartan matrix, and the two
+are cross-checked exhaustively by the test suite.
 Dominant weights are generated, never filtered: in epsilon coordinates they
 are the partitions `arith.partitions_under` lists under prefix-sum bounds.
 A `WeightSet` holds each Weyl orbit as such a partition: its sorted magnitudes.
@@ -23,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from math import factorial, prod
-from operator import lt, sub
+from operator import lt, mul, sub
 
 from .arith import charge, partitions_under
 
@@ -228,62 +226,46 @@ def dominates(hi: Weight, lo: Weight) -> bool:
     return p % 2 == 0
 
 
-# The states the subtraction walk passed, from each of which zero is reachable;
-# shared by every oracle call and emptied when it reaches _ORACLE_TABLE_MAX.
-_ORACLE_TABLE: set[tuple[int, ...]] = set()
-_ORACLE_TABLE_MAX = 1 << 14
-
-
 @lru_cache(maxsize=16)
-def _simple_root_coords(rank: int) -> tuple[tuple[int, ...], ...]:
-    """The simple roots' epsilon coordinates, short roots first."""
-    return tuple(simple_root(rank, i).coords for i in range(1, rank + 1))
-
-
-def _oracle_viable(v: tuple[int, ...]) -> bool:
-    """False when zero is provably unreachable from v: prefix sums of the
-    coordinates never increase under any move, and the full coordinate sum
-    only ever changes by 2 (so its parity is invariant)."""
-    run = 0
-    for x in v[:-1]:
-        run += x
-        if run < 0:
-            return False
-    total = run + v[-1]
-    return total >= 0 and total % 2 == 0
+def _inverse_cartan(rank: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(det A, the columns of adj A) for the Cartan matrix
+    A_ij = 2(a_i . a_j)/(a_j . a_j) of the simple roots a_i, so that
+    A^-1 = adj A / det A.  Row i of A is the coefficient string of a_i, and
+    the quotients are integers, as for any root system.  Fraction-free
+    Gauss-Jordan elimination (Bareiss): every division is exact, every pivot
+    a leading principal minor of A, positive as A is a positive diagonal
+    rescaling of the simple roots' Gram matrix, and each diagonal entry of the
+    left block ends as det A.  WorkLimitError is raised before it starts when
+    its rank^3 steps are more than WORK_LIMIT."""
+    charge(rank**3, f"elimination steps inverting the Cartan matrix of rank {rank}")
+    roots = [simple_root(rank, i).coords for i in range(1, rank + 1)]
+    gram = [[sum(map(mul, a, b)) for b in roots] for a in roots]
+    m = [[2 * g[j] // gram[j][j] for j in range(rank)] + [int(i == j) for j in range(rank)] for i, g in enumerate(gram)]
+    pivot = 1
+    for k in range(rank):
+        row = m[k]
+        m = [r if r is row else [(row[k] * x - r[k] * y) // pivot for x, y in zip(r, row)] for r in m]
+        pivot = row[k]
+    return pivot, tuple(zip(*(r[rank:] for r in m)))
 
 
 def dominates_oracle(hi: Weight, lo: Weight) -> bool:
-    """Decide hi - lo in R+ by a walk of simple-root subtractions.
-
-    States are epsilon-coordinate vectors, starting from eps(hi) - eps(lo)
-    (the suffix sums of the coefficient differences).  A start failing
-    `_oracle_viable` is pruned before any lookup; then each step subtracts
-    the first simple root whose result passes the rule, until zero or a
-    state an earlier walk passed, and the path goes into the shared table.
-
-    The rule is exact: in prefix sums P_i each simple root lowers one P_i
-    (2e_n lowers P_n by 2), so every passing nonzero state has a passing
-    child, and the walk reaches zero without backtracking after
-    height(hi - lo) = P_1 + ... + P_{n-1} + P_n / 2 steps.  WorkLimitError
-    is raised before it starts when that is more than WORK_LIMIT.
-    """
+    """Decide hi - lo in R+ by the definition: the simple roots are a basis,
+    so hi - lo has one coordinate vector over them, the coefficient string
+    d = hi - lo times the inverse Cartan matrix (Humphreys, Introduction to
+    Lie Algebras and Representation Theory, 13.1), and every coordinate must
+    be a nonnegative integer.  It shares no step with `dominates`.  The
+    inverse costs rank^3 steps, charged once per rank (see `_inverse_cartan`)
+    and refused above rank 100; a rank already inverted costs nothing, and
+    each pair then answers in rank^2 integer steps."""
     if len(hi.coeffs) != len(lo.coeffs):
         same_rank(hi, lo)
-    start = tuple(accumulate(map(sub, reversed(hi.coeffs), reversed(lo.coeffs))))[::-1]
-    if not _oracle_viable(start):
-        return False
-    *short, total = accumulate(start)
-    charge(sum(short) + total // 2, "simple-root steps of a dominance walk")
-    roots = _simple_root_coords(hi.rank)
-    v, path = start, [start]
-    while any(v) and v not in _ORACLE_TABLE:
-        v = next(c for c in (tuple(map(sub, v, r)) for r in roots) if _oracle_viable(c))
-        path.append(v)
-    for v in path:  # zero is reachable from every state of the path, its end included
-        if len(_ORACLE_TABLE) >= _ORACLE_TABLE_MAX:
-            _ORACLE_TABLE.clear()
-        _ORACLE_TABLE.add(v)
+    det, adj = _inverse_cartan(len(hi.coeffs))
+    d = tuple(map(sub, hi.coeffs, lo.coeffs))
+    for col in adj:
+        c = sum(map(mul, d, col))  # det times a coordinate
+        if c < 0 or c % det:
+            return False
     return True
 
 

@@ -39,8 +39,8 @@ def test_criterion_01_singer_height_table():
 
 
 def test_criterion_02_dominance_oracle():
-    weights._ORACLE_TABLE.clear()  # time a cold search, not one earlier tests have warmed
-    _via_suite(2, "dominance closed form vs subtraction search, n <= 5", "dominance", 5, 30, 75808)
+    weights._inverse_cartan.cache_clear()  # time cold inversions, not ones earlier tests have made
+    _via_suite(2, "dominance closed form vs inverse Cartan matrix, n <= 5", "dominance", 5, 30, 75808)
 
 
 def test_criterion_03_zero_weight_equivalence():

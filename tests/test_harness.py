@@ -13,7 +13,7 @@ from sp2n.criteria import NO, YES
 from sp2n.elements import build_element, enumerate_elements, generator_tuples, parse_element, to_torus_element
 from sp2n.harness import SUITE_NAMES, run_suite
 from sp2n.tori import block_sums, factor_orders
-from sp2n.weights import Weight, fundamental
+from sp2n.weights import EpsWeight, Weight, fundamental
 
 
 def test_unknown_suite():
@@ -109,18 +109,39 @@ def test_wall_time_excluded_from_json():
     assert "wall" not in rep.to_json()
 
 
-def test_dominance_search_work_is_pinned():
-    # the oracle's search is deterministic, so the number of states it
-    # settles over the whole suite catches a complexity regression
-    weights._ORACLE_TABLE.clear()
+def test_dominance_inverts_once_per_rank():
+    # the oracle's work is deterministic: from cold caches the suite inverts
+    # the Cartan matrix of each rank up to its cap once
+    weights._inverse_cartan.cache_clear()
     rep = run_suite("dominance")
     assert rep.cases == 75808 and rep.passed
-    assert len(weights._ORACLE_TABLE) == 3303
+    assert weights._inverse_cartan.cache_info().misses == 5
+
+
+def test_dominance_reports_a_fault_in_the_root_data(monkeypatch):
+    # type B's short root e_n in place of the long root 2e_n: the oracle
+    # answers for the wrong root system, and the suite says so
+    root = weights.simple_root
+    monkeypatch.setattr(weights, "simple_root", lambda n, i: EpsWeight((0,) * (n - 1) + (1,)) if i == n else root(n, i))
+    weights._inverse_cartan.cache_clear()
+    try:
+        cases, failures = harness._tally(harness._suite_dominance(3))
+    finally:
+        weights._inverse_cartan.cache_clear()
+    assert (cases, len(failures)) == (12974, 3108)
+
+
+def test_dominance_reports_a_closed_form_without_its_parity_test(monkeypatch):
+    # doubling hi - lo keeps the prefix sums' signs and makes the last one even
+    closed_form = harness.dominates
+    monkeypatch.setattr(harness, "dominates", lambda hi, lo: closed_form(2 * hi, 2 * lo))
+    cases, failures = harness._tally(harness._suite_dominance(3))
+    assert (cases, len(failures)) == (12974, 2634)
 
 
 def test_dominance_searches_once_per_difference(monkeypatch):
-    # the search starts from eps(hi - lo), so the suite's pairs share one
-    # search per distinct coefficient difference of a rank
+    # the oracle reads hi - lo only, so the suite's pairs share one call
+    # per distinct coefficient difference of a rank
     calls = 0
     search = harness.dominates_oracle
 

@@ -1,4 +1,4 @@
-from functools import cache
+import time
 from itertools import accumulate, product
 from operator import sub
 
@@ -114,98 +114,60 @@ def test_dominates_agrees_with_search_oracle():
 _coefficient_pairs = st.integers(1, 8).flatmap(lambda n: st.tuples(*[st.tuples(*[st.integers(0, 6)] * n)] * 2))
 
 
+def _reference_walk(hi, lo):
+    # the subtraction walk the inverse Cartan matrix replaced, without its
+    # table: prune a start from which zero is out of reach (a prefix sum of
+    # eps(hi - lo) below zero, or an odd total), then subtract the first
+    # simple root whose result passes the same rule, until zero
+    def viable(v):
+        sums = list(accumulate(v))
+        return min(sums) >= 0 and sums[-1] % 2 == 0
+
+    v = tuple(map(sub, to_eps(hi).coords, to_eps(lo).coords))
+    if not viable(v):
+        return False
+    roots = [simple_root(hi.rank, i).coords for i in range(1, hi.rank + 1)]
+    while any(v):
+        v = next(c for c in (tuple(map(sub, v, r)) for r in roots) if viable(c))
+    return True
+
+
 @settings(deadline=None)
 @given(_coefficient_pairs)
 def test_dominates_matches_search_past_the_suite_cap(pair):
     # coefficients up to 6 at rank up to 8: delta up to 216, past the suite's cap of 12
     hi, lo = map(Weight, pair)
-    assert dominates(hi, lo) == dominates_oracle(hi, lo)
+    assert dominates(hi, lo) == dominates_oracle(hi, lo) == _reference_walk(hi, lo)
 
 
 def test_dominates_oracle_long_chain():
-    # 5,000 subtractions of the long root, in one loop
+    # a long-root coordinate of 5,000, and half of 10,001
     assert dominates_oracle(Weight((10000,)), zero_weight(1))
     assert not dominates_oracle(Weight((10001,)), zero_weight(1))
+    assert dominates_oracle(Weight((2_000_002,)), zero_weight(1))  # height 1,000,001
 
 
 def test_dominates_oracle_work_is_counted_before_it_starts(monkeypatch):
-    # eps(1,0,1) = (2,1,1) = 2(e1-e2) + 3(e2-e3) + 2(2e3): height 7
+    # inverting the Cartan matrix of rank 3 is charged 3^3 = 27 steps, once
     hi, lo = Weight((1, 0, 1)), zero_weight(3)
-    monkeypatch.setattr(arith, "WORK_LIMIT", 6)
-    weights._ORACLE_TABLE.clear()
+    weights._inverse_cartan.cache_clear()
+    monkeypatch.setattr(arith, "WORK_LIMIT", 26)
+    with pytest.raises(WorkLimitError, match="^27 elimination steps"):
+        dominates_oracle(hi, lo)
+    monkeypatch.setattr(arith, "WORK_LIMIT", 27)
+    assert dominates_oracle(hi, lo) and not dominates_oracle(lo, hi)
+    monkeypatch.setattr(arith, "WORK_LIMIT", 0)
+    assert dominates_oracle(hi, lo)  # a rank already inverted charges nothing
+    # two misses, the refusal and the one inversion; two hits, the calls after it
+    assert weights._inverse_cartan.cache_info()[:2] == (2, 2)
+
+
+def test_dominates_oracle_refuses_rank_above_100_fast():
+    hi = Weight((1,) * 101)
+    started = time.perf_counter()
     with pytest.raises(WorkLimitError):
-        dominates_oracle(hi, lo)
-    assert not weights._ORACLE_TABLE
-    assert not dominates_oracle(lo, hi)  # pruned at the start: nothing to count
-    monkeypatch.setattr(arith, "WORK_LIMIT", 7)
-    assert dominates_oracle(hi, lo)
-    assert (2, 1, 1) in weights._ORACLE_TABLE
-    monkeypatch.setattr(arith, "WORK_LIMIT", 6)
-    with pytest.raises(WorkLimitError):  # counted before the table is read
-        dominates_oracle(hi, lo)
-
-
-@cache
-def _pool(n):
-    return dominant_weights_up_to(n, 20)
-
-
-_triples = st.integers(1, 6).flatmap(lambda n: st.tuples(*[st.sampled_from(_pool(n))] * 3))
-
-
-def _table_is_sound():
-    # zero is reachable from every stored state, by the closed form on that difference
-    return all(dominates(from_eps(EpsWeight(v)), zero_weight(len(v))) for v in weights._ORACLE_TABLE)
-
-
-@settings(deadline=None)
-@given(_triples)
-def test_dominates_oracle_table_cold_and_warm(triple):
-    # delta up to 20, above the dominance suite's cap of 12
-    hi, mid, lo = triple
-    weights._ORACLE_TABLE.clear()
-    cold = dominates_oracle(hi, lo)
-    weights._ORACLE_TABLE.clear()
-    dominates_oracle(hi, mid)
-    dominates_oracle(mid, lo)
-    warm = dominates_oracle(hi, lo)
-    assert cold == warm == dominates_oracle(hi, lo) == dominates(hi, lo)
-    assert _table_is_sound()
-
-
-def _height(hi, lo):
-    # the simple-root multiplicities of hi - lo: P_1 + ... + P_{n-1} + P_n / 2
-    *short, total = accumulate(map(sub, to_eps(hi).coords, to_eps(lo).coords))
-    return sum(short) + total // 2
-
-
-@settings(deadline=None)
-@given(_triples)
-def test_dominates_oracle_walks_without_detour(triple):
-    # from a cold table, a dominating pair stores its path and nothing else:
-    # one state per simple-root step, and zero
-    for hi in triple:
-        for lo in triple:
-            if dominates(hi, lo):
-                weights._ORACLE_TABLE.clear()
-                assert dominates_oracle(hi, lo)
-                assert len(weights._ORACLE_TABLE) == _height(hi, lo) + 1
-                assert (0,) * hi.rank in weights._ORACLE_TABLE
-
-
-def test_dominates_oracle_table_bounded(monkeypatch):
-    weights._ORACLE_TABLE.clear()
-    dominates_oracle(Weight((100000,)), zero_weight(1))  # a 50,000-state chain
-    assert len(weights._ORACLE_TABLE) <= weights._ORACLE_TABLE_MAX
-    monkeypatch.setattr(weights, "_ORACLE_TABLE_MAX", 5)
-    weights._ORACLE_TABLE.clear()
-    for n in range(1, 5):
-        pool = dominant_weights_up_to(n, 7)
-        for hi in pool:
-            for lo in pool:
-                assert dominates_oracle(hi, lo) == dominates(hi, lo), (hi, lo)
-                assert len(weights._ORACLE_TABLE) <= 5
-    assert _table_is_sound()
+        dominates_oracle(hi, zero_weight(101))
+    assert time.perf_counter() - started < 0.1
 
 
 def test_dominates_partial_order():
