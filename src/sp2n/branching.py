@@ -12,25 +12,30 @@ below; full realness needs conjugacy machinery that is out of scope, so
 the predicates are named by what they check.
 """
 
-from dataclasses import dataclass
 from math import gcd
 
 from .arith import factorize, mult_order
-from .weights import EpsWeight, Weight, fundamental
+from .weights import EpsWeight, Weight, _Value, fundamental
 
 
-@dataclass(frozen=True, slots=True)
-class LinearWeight:
+class LinearWeight(_Value):
     """Dominant weight of an ambient special linear group of rank N - 1."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(a) for a in self.coeffs))
-        if len(self.coeffs) < 1:
+    def __init__(self, coeffs: tuple[int, ...]):
+        coeffs = tuple(int(a) for a in coeffs)
+        if len(coeffs) < 1:
             raise ValueError("need at least one coefficient")
-        if any(a < 0 for a in self.coeffs):
+        if any(a < 0 for a in coeffs):
             raise ValueError("coefficients must be nonnegative")
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs if type(other) is LinearWeight else NotImplemented
+
+    def __hash__(self):
+        return hash((self.coeffs,))
 
     @property
     def ambient(self) -> int:
@@ -123,10 +128,12 @@ GUARANTEED_ONE = "guaranteed-one"
 POSSIBLE_EXCEPTION = "possible-exception"
 
 
-@dataclass(frozen=True)
-class RealElementVerdict:
-    status: str
-    citations: tuple[str, ...]
+class RealElementVerdict(_Value):
+    __slots__ = ("status", "citations")
+
+    def __init__(self, status: str, citations: tuple[str, ...]):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "citations", citations)
 
 
 def real_element_verdict(lam: LinearWeight) -> RealElementVerdict:

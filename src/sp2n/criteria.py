@@ -8,23 +8,32 @@ on a torus, `tori.trivial_constituent`; on an element, `tori.zero_at` at
 each distinct canonical form its generator choices take (`tori.zero_forms`).
 """
 
-from dataclasses import dataclass
-
 from .elements import SemisimpleElement, has_eigenvalue_one_omega_n, singer_height_fast, singer_index_element
 from .reps import ModuleKind, weight_set
 from .tori import TorusShape, singer_index, t_sharp, trivial_constituent, zero_at, zero_forms
-from .weights import Weight, delta, gamma, highest_weight, is_radical, same_rank
+from .weights import Weight, _Value, delta, gamma, highest_weight, is_radical, same_rank
 
 YES = "yes"
 NO = "no"
 UNDETERMINED = "undetermined-by-criteria"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    decision: str
-    citations: tuple[str, ...]
-    fallback_used: bool = False
+class Verdict(_Value):
+    __slots__ = ("decision", "citations", "fallback_used")
+
+    def __init__(self, decision: str, citations: tuple[str, ...], fallback_used: bool = False):
+        object.__setattr__(self, "decision", decision)
+        object.__setattr__(self, "citations", citations)
+        object.__setattr__(self, "fallback_used", fallback_used)
+
+    def __eq__(self, other):
+        if type(other) is not Verdict:
+            return NotImplemented
+        return (self.decision == other.decision and self.citations == other.citations
+                and self.fallback_used == other.fallback_used)
+
+    def __hash__(self):
+        return hash((self.decision, self.citations, self.fallback_used))
 
     def to_dict(self) -> dict:
         return {
@@ -151,23 +160,29 @@ def p88_guarantee(g: SemisimpleElement) -> bool:
     return any(o == 1 for _, o, _ in g.blocks) and has_eigenvalue_one_omega_n(g)
 
 
-@dataclass(frozen=True)
-class HasOne:
-    citations: tuple[str, ...] = ()
+class HasOne(_Value):
+    __slots__ = ("citations",)
+
+    def __init__(self, citations: tuple[str, ...] = ()):
+        object.__setattr__(self, "citations", citations)
 
 
-@dataclass(frozen=True)
-class FundamentalTwistException:
-    index: int
-    citations: tuple[str, ...] = ()
+class FundamentalTwistException(_Value):
+    __slots__ = ("index", "citations")
+
+    def __init__(self, index: int, citations: tuple[str, ...] = ()):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "citations", citations)
 
 
-@dataclass(frozen=True)
-class TensorCase:
-    base: Weight
-    twist_level: int
-    base_delta: int
-    citations: tuple[str, ...] = ()
+class TensorCase(_Value):
+    __slots__ = ("base", "twist_level", "base_delta", "citations")
+
+    def __init__(self, base: Weight, twist_level: int, base_delta: int, citations: tuple[str, ...] = ()):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "twist_level", twist_level)
+        object.__setattr__(self, "base_delta", base_delta)
+        object.__setattr__(self, "citations", citations)
 
 
 def p49_classify(w: Weight, g: SemisimpleElement):

@@ -13,13 +13,13 @@ number of singular blocks is the element's Singer index, and the Singer
 height of n is the largest possible Singer index at rank n.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import gcd, lcm, prod
 
 from .arith import block_multisets, charge, divisors, has_order, totient
 from .tori import TorusElement, TorusShape, block_key
+from .weights import _Value
 
 
 def _block_error(d: int, o: int, s: int) -> str | None:
@@ -39,20 +39,25 @@ def _block_error(d: int, o: int, s: int) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class SemisimpleElement:
+class SemisimpleElement(_Value):
     """Blocks (d_i, o_i, sign_i); validated on construction."""
 
-    blocks: tuple[tuple[int, int, int], ...]
+    __slots__ = ("blocks",)
 
-    def __post_init__(self):
-        blocks = tuple((int(d), int(o), int(s)) for d, o, s in self.blocks)
+    def __init__(self, blocks: tuple[tuple[int, int, int], ...]):
+        blocks = tuple((int(d), int(o), int(s)) for d, o, s in blocks)
         if not blocks:
             raise ValueError("an element needs at least one block")
         for block in blocks:
             if error := _block_error(*block):
                 raise ValueError(error)
         object.__setattr__(self, "blocks", blocks)
+
+    def __eq__(self, other):
+        return self.blocks == other.blocks if type(other) is SemisimpleElement else NotImplemented
+
+    def __hash__(self):
+        return hash((self.blocks,))
 
     @property
     def rank(self) -> int:
@@ -66,13 +71,15 @@ class SemisimpleElement:
         return ";".join(f"{d}:{o}:{'-' if s == -1 else '+'}" for d, o, s in self.blocks)
 
 
-@dataclass(frozen=True)
-class GammaGraph:
+class GammaGraph(_Value):
     """Coprimality graph on block indices (0-based), with its singular vertices."""
 
-    vertices: int
-    edges: frozenset[tuple[int, int]]
-    singular: tuple[int, ...]
+    __slots__ = ("vertices", "edges", "singular")
+
+    def __init__(self, vertices: int, edges: frozenset[tuple[int, int]], singular: tuple[int, ...]):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "singular", singular)
 
 
 def build_element(blocks) -> SemisimpleElement:

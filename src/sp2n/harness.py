@@ -13,7 +13,6 @@ from the JSON payload).
 
 import json
 import time
-from dataclasses import dataclass, field
 from itertools import combinations, product
 from math import gcd
 from operator import mul
@@ -57,6 +56,7 @@ from .tori import (
 )
 from .weights import (
     Weight,
+    _Value,
     delta,
     dominant_representative,
     dominant_weights_up_to,
@@ -76,14 +76,17 @@ REFERENCE_SI = {3: 2, 4: 2, 5: 2, 6: 2, 7: 3, 8: 3, 9: 3, 10: 3, 11: 3}
 REFERENCE_SI_CONTESTED = {12: 4}
 
 
-@dataclass
-class SuiteReport:
-    suite: str
-    max_n: int
-    cases: int
-    failures: list[dict] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    wall_time: float = 0.0
+class SuiteReport(_Value):
+    """A suite's result: the one mutable, unhashable record among the values."""
+
+    __slots__ = ("suite", "max_n", "cases", "failures", "notes", "wall_time")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, suite: str, max_n: int, cases: int, failures: list[dict] | None = None,
+                 notes: list[str] | None = None, wall_time: float = 0.0):
+        self.suite, self.max_n, self.cases, self.wall_time = suite, max_n, cases, wall_time
+        self.failures = [] if failures is None else failures
+        self.notes = [] if notes is None else notes
 
     @property
     def passed(self) -> bool:

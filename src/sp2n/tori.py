@@ -24,14 +24,13 @@ in canonical form as a dot product with the epsilon coordinates.
 from collections import Counter
 from collections.abc import Iterable
 from contextvars import ContextVar
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import comb, gcd, lcm, prod
 from operator import mul
 
 from .arith import block_multisets, charge, totient
-from .weights import EpsWeight, WeightSet, same_rank
+from .weights import EpsWeight, WeightSet, _Value, same_rank
 
 
 def block_key(block: tuple[int, ...]) -> tuple[int, int]:
@@ -40,20 +39,25 @@ def block_key(block: tuple[int, ...]) -> tuple[int, int]:
     return -block[0], block[-1]
 
 
-@dataclass(frozen=True)
-class TorusShape:
+class TorusShape(_Value):
     """Signed partition (k_i, sign_i); blocks kept in canonical order."""
 
-    blocks: tuple[tuple[int, int], ...]
+    __slots__ = ("blocks",)
 
-    def __post_init__(self):
-        blocks = tuple((int(k), int(s)) for k, s in self.blocks)
+    def __init__(self, blocks: tuple[tuple[int, int], ...]):
+        blocks = tuple((int(k), int(s)) for k, s in blocks)
         for k, s in blocks:
             if k < 1:
                 raise ValueError(f"block rank must be positive, got {k}")
             if s not in (1, -1):
                 raise ValueError(f"block sign must be +1 or -1, got {s}")
         object.__setattr__(self, "blocks", tuple(sorted(blocks, key=block_key)))
+
+    def __eq__(self, other):
+        return self.blocks == other.blocks if type(other) is TorusShape else NotImplemented
+
+    def __hash__(self):
+        return hash((self.blocks,))
 
     @property
     def rank(self) -> int:
@@ -63,21 +67,29 @@ class TorusShape:
         return ",".join(str(s * k) for k, s in self.blocks)
 
 
-@dataclass(frozen=True)
-class TorusElement:
+class TorusElement(_Value):
     """An element of a torus in canonical form: one exponent per cyclic factor."""
 
-    shape: TorusShape
-    exponents: tuple[int, ...]
+    __slots__ = ("shape", "exponents")
 
-    def __post_init__(self):
-        object.__setattr__(self, "exponents", tuple(int(m) for m in self.exponents))
-        orders = factor_orders(self.shape)
-        if len(self.exponents) != len(orders):
+    def __init__(self, shape: TorusShape, exponents: tuple[int, ...]):
+        exponents = tuple(int(m) for m in exponents)
+        orders = factor_orders(shape)
+        if len(exponents) != len(orders):
             raise ValueError("one exponent per block required")
-        for m, o in zip(self.exponents, orders):
+        for m, o in zip(exponents, orders):
             if not 0 <= m < o:
                 raise ValueError(f"exponent {m} out of range for factor order {o}")
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "exponents", exponents)
+
+    def __eq__(self, other):  # a tuple compares equal shapes by identity first
+        if type(other) is not TorusElement:
+            return NotImplemented
+        return (self.shape, self.exponents) == (other.shape, other.exponents)
+
+    def __hash__(self):
+        return hash((self.shape, self.exponents))
 
     @property
     def order(self) -> int:

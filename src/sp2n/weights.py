@@ -13,11 +13,14 @@ are cross-checked exhaustively by the test suite.
 Dominant weights are generated, never filtered: in epsilon coordinates they
 are the partitions `arith.partitions_under` lists under prefix-sum bounds.
 A `WeightSet` holds each Weyl orbit as such a partition: its sorted magnitudes.
+
+The package's value types are plain `__slots__` classes on the shared base
+`_Value` defined here (immutable, repr, equality, hash, pickling); those built
+in inner loops write `__eq__` and `__hash__` on their named slots.
 """
 
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from math import factorial, prod
@@ -26,16 +29,50 @@ from operator import lt, mul, sub
 from .arith import charge, partitions_under
 
 
-@dataclass(frozen=True, slots=True)
-class Weight:
+class _Value:
+    """An immutable value: each field a slot, set once by __init__ through
+    object.__setattr__.  Equal when of one type with equal fields."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self.__slots__)})"
+
+    def __reduce__(self):  # rebuilt by its constructor, for pickle and copy
+        return type(self), self._fields()
+
+
+class Weight(_Value):
     """Integer coefficients over the fundamental basis; rank = len(coeffs)."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if len(self.coeffs) < 1:
+    def __init__(self, coeffs: tuple[int, ...]):
+        coeffs = tuple(coeffs)
+        if len(coeffs) < 1:
             raise ValueError("rank must be at least 1")
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs if type(other) is Weight else NotImplemented
+
+    def __hash__(self):
+        return hash((self.coeffs,))
 
     @property
     def rank(self) -> int:
@@ -66,16 +103,22 @@ class Weight:
         return ",".join(str(a) for a in self.coeffs)
 
 
-@dataclass(frozen=True, slots=True)
-class EpsWeight:
+class EpsWeight(_Value):
     """Integer coordinates over the epsilon basis; rank = len(coords)."""
 
-    coords: tuple[int, ...]
+    __slots__ = ("coords",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(self.coords))
-        if len(self.coords) < 1:
+    def __init__(self, coords: tuple[int, ...]):
+        coords = tuple(coords)
+        if len(coords) < 1:
             raise ValueError("rank must be at least 1")
+        object.__setattr__(self, "coords", coords)
+
+    def __eq__(self, other):
+        return self.coords == other.coords if type(other) is EpsWeight else NotImplemented
+
+    def __hash__(self):
+        return hash((self.coords,))
 
     @property
     def rank(self) -> int:
@@ -92,22 +135,27 @@ class EpsWeight:
         return "e:" + ",".join(str(c) for c in self.coords)
 
 
-@dataclass(frozen=True)
-class WeightSet:
+class WeightSet(_Value):
     """A finite union of Weyl orbits (signed permutations of epsilon coordinates)
     of one rank, each held by its sorted magnitudes (the epsilon coordinates of its
     dominant weight), in coefficient-string order.  Size and membership are answered
     per orbit; the members are generated only on request and held nowhere."""
 
-    rank: int
-    orbits: tuple[tuple[int, ...], ...]
+    __slots__ = ("rank", "orbits")
 
-    def __post_init__(self):
-        orbits = frozenset(map(tuple, self.orbits))
+    def __init__(self, rank: int, orbits: Iterable[tuple[int, ...]]):
+        orbits = frozenset(map(tuple, orbits))
         for m in orbits:
-            if len(m) != self.rank or not m or m[-1] < 0 or any(map(lt, m, m[1:])):
-                raise ValueError(f"{m} are not the sorted magnitudes of a weight of rank {self.rank}")
+            if len(m) != rank or not m or m[-1] < 0 or any(map(lt, m, m[1:])):
+                raise ValueError(f"{m} are not the sorted magnitudes of a weight of rank {rank}")
+        object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "orbits", tuple(sorted(orbits, key=_coeffs)))
+
+    def __eq__(self, other):
+        return self.rank == other.rank and self.orbits == other.orbits if type(other) is WeightSet else NotImplemented
+
+    def __hash__(self):
+        return hash((self.rank, self.orbits))
 
     @property
     def reps(self) -> tuple[Weight, ...]:  # the orbits' dominant weights, for display

@@ -2,14 +2,13 @@ import ast
 import importlib
 import inspect
 import json
-from dataclasses import replace
 from math import lcm
 from pathlib import Path
 
 import pytest
 
 from sp2n import harness, reps, tori, weights
-from sp2n.criteria import NO, YES
+from sp2n.criteria import NO, YES, Verdict
 from sp2n.elements import build_element, enumerate_elements, generator_tuples, parse_element, to_torus_element
 from sp2n.harness import SUITE_NAMES, run_suite
 from sp2n.tori import block_sums, factor_orders
@@ -330,7 +329,7 @@ def test_element_oracle_reports_a_flipped_verdict(monkeypatch):
 
     def flipped(w2, g2):
         v = real(w2, g2)
-        return replace(v, decision=NO if v.decision == YES else YES) if (w2, g2) == (w, g) else v
+        return Verdict(NO if v.decision == YES else YES, v.citations, v.fallback_used) if (w2, g2) == (w, g) else v
 
     monkeypatch.setattr(harness, "element_has_one", flipped)
     cases, failures = harness.check_element_vs_direct(3)
@@ -346,9 +345,9 @@ def test_element_oracle_caches_no_members():
         for w in harness._restricted_top(n):
             # the sets the oracle used (cache hits) and their a_n = 0 parts
             # (built here: the a_n = 1 rule never builds them) hold their
-            # fields and nothing else
+            # two slots and nothing else
             for ws in (reps.weight_set(w), reps.weight_set(w - fundamental(n, n))):
-                assert set(ws.__dict__) == {"rank", "orbits"}, w
+                assert type(ws).__slots__ == ("rank", "orbits") and not hasattr(ws, "__dict__"), w
 
 
 def test_benchmark_reported_functions_stay_public():

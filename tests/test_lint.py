@@ -1,12 +1,16 @@
-"""Static checks on the package source: no unused imports, no private
-helper that nothing calls, no module-level container that a function
-changes (so every process-wide memo is a bounded `lru_cache`), output
-printed from `cli.cli_main` alone, and
+"""Static checks on the package source: no unused imports, no import of
+the heavy reflection modules (checked again at run time, after
+`import sp2n`), no private helper that nothing calls, no module-level
+container that a function changes (so every process-wide memo is a
+bounded `lru_cache`), output printed from `cli.cli_main` alone, and
 each input rule (a dominant or 2-restricted highest weight, a minimal
 block) raised from one function, with the messages pinned through the
 public functions."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -43,6 +47,33 @@ def test_every_import_is_read():
         }
         read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
         assert imported <= read, (name, sorted(imported - read))
+
+
+# each costs milliseconds of start-up: dataclasses alone pulls in inspect, ast,
+# dis and tokenize, and its generated methods were a fifth of `import sp2n`
+HEAVY_MODULES = {"dataclasses", "inspect", "typing"}
+
+
+def test_no_heavy_module_is_imported():
+    for name, tree in SOURCES.items():
+        imported = {
+            alias.name.split(".")[0] if isinstance(node, ast.Import) else (node.module or "").split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        assert not imported & HEAVY_MODULES, (name, sorted(imported & HEAVY_MODULES))
+
+
+@pytest.mark.parametrize("module", ["sp2n", "sp2n.cli"])
+def test_import_loads_no_reflection_module(module):
+    # start-up guard: what the import adds to a fresh process, caught without
+    # timing it (the interpreter's site hooks may have loaded either already)
+    code = (f"import sys; before = set(sys.modules); import {module}; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(Path(sp2n.__file__).parents[1])})
+    assert out.stdout.strip() == "[]", out.stdout
 
 
 def test_every_private_function_is_referenced():

@@ -170,7 +170,8 @@ def test_weight_set_holds_dominant_representatives():
     assert ws.reps == (Weight((0, 1)), Weight((1, 0)))
     assert len(ws) == 4 + 4
     assert EpsWeight((0, -1)) in ws and EpsWeight((2, 0)) not in ws
-    assert len(list(ws)) == 8 and set(ws.__dict__) == {"rank", "orbits"}  # iteration streams, keeps nothing
+    assert len(list(ws)) == 8  # iteration streams, keeps nothing: two slots, no instance dict
+    assert WeightSet.__slots__ == ("rank", "orbits") and not hasattr(ws, "__dict__")
     for bad in ((0, 1), (1, -1), (1, 0, 0), (1,)):  # increasing, negative, wrong lengths
         with pytest.raises(ValueError):
             WeightSet(2, [bad])
