@@ -24,6 +24,12 @@ def charge(count: int, what: str) -> None:
         raise WorkLimitError(f"{count} {what} exceed the work limit {WORK_LIMIT}")
 
 
+def refuse_too_deep(what: str):
+    """Raise WorkLimitError for a recursion over `what` that went deeper than
+    the interpreter's recursion limit (the caller's RecursionError)."""
+    raise WorkLimitError(f"{what} recurse deeper than the interpreter allows, past the work limit")
+
+
 def mult_order(a: int, m: int) -> int:
     """Multiplicative order of a modulo m.  Requires gcd(a, m) == 1.
 

@@ -16,7 +16,7 @@ kernel behind `torus-trivial` and `element`.
 import argparse
 import json
 import sys
-from functools import cache
+from functools import lru_cache
 
 from .arith import WorkLimitError, charge
 from .branching import (
@@ -181,52 +181,84 @@ def _cmd_verify(args) -> Answer:
     return report.to_dict(), [], report.passed
 
 
+_N, _OMEGA, _YES_NO = ("n", {"type": int}), ("omega", {}), ("yes", "no")
+
+# the one command table: name -> (handler, help text, arguments, --expect choices)
+_COMMANDS = {
+    "si": (_cmd_si, "Singer height with witness", [_N], None),
+    "tori": (_cmd_tori, "list torus classes with orders and Singer indices", [_N], None),
+    "weights": (_cmd_weights, "weight set of a module",
+                [_N, _OMEGA, ("--kind", {"choices": ("irr2", "weyl"), "default": "irr2"})], None),
+    "unisingular": (_cmd_unisingular, "eigenvalue 1 for every group element?", [_N, _OMEGA], _YES_NO),
+    "torus-trivial": (_cmd_torus_trivial, "trivial constituent on one torus class?",
+                      [_N, _OMEGA, ("--torus", {"required": True,
+                                                "help": "signed label, e.g. --torus=-2 or --torus=-1,1"})], _YES_NO),
+    "element": (_cmd_element, "per-element verdicts from block data",
+                [("spec", {"help": 'blocks "d:o:sign;..." e.g. "1:3:-;2:5:-"'}), ("--omega", {"required": True})],
+                _YES_NO),
+    "branch": (_cmd_branch, "restriction of a linear-group weight",
+               [("--N", {"type": int, "required": True, "help": "ambient matrix size"}),
+                ("--lambda", {"dest": "lam", "required": True, "help": "comma-separated coefficients"})],
+               (GUARANTEED_ONE, POSSIBLE_EXCEPTION)),
+    "real": (_cmd_real, "realness-by-order predicates",
+             [("--group", {"choices": ("sl", "su"), "required": True}),
+              ("--order", {"type": int, "required": True}), ("--q", {"type": int, "required": True})], None),
+    "verify": (_cmd_verify, "run a verification suite",
+               [("--suite", {"choices": SUITE_NAMES, "required": True}), ("--max-n", {"type": int, "default": None})],
+               None),
+}
+
+
+def _fill(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Give p the arguments and defaults of command `name`."""
+    fn, _, arguments, expect = _COMMANDS[name]
+    for flag, options in arguments:
+        p.add_argument(flag, **options)
+    if name == "verify":  # a report, in JSON; a failed one exits 3
+        p.set_defaults(fn=fn, json=True, expect=True, mismatch_exit=3)
+        return p
+    p.add_argument("--json", action="store_true")
+    if expect:
+        p.add_argument("--expect", choices=expect)
+    p.set_defaults(fn=fn, expect=None, mismatch_exit=1)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sp2n", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    n, omega, yes_no = ("n", {"type": int}), ("omega", {}), ("yes", "no")
-    for name, fn, help_text, arguments, expect in (
-        ("si", _cmd_si, "Singer height with witness", [n], None),
-        ("tori", _cmd_tori, "list torus classes with orders and Singer indices", [n], None),
-        ("weights", _cmd_weights, "weight set of a module",
-         [n, omega, ("--kind", {"choices": ("irr2", "weyl"), "default": "irr2"})], None),
-        ("unisingular", _cmd_unisingular, "eigenvalue 1 for every group element?", [n, omega], yes_no),
-        ("torus-trivial", _cmd_torus_trivial, "trivial constituent on one torus class?",
-         [n, omega, ("--torus", {"required": True, "help": "signed label, e.g. --torus=-2 or --torus=-1,1"})], yes_no),
-        ("element", _cmd_element, "per-element verdicts from block data",
-         [("spec", {"help": 'blocks "d:o:sign;..." e.g. "1:3:-;2:5:-"'}), ("--omega", {"required": True})], yes_no),
-        ("branch", _cmd_branch, "restriction of a linear-group weight",
-         [("--N", {"type": int, "required": True, "help": "ambient matrix size"}),
-          ("--lambda", {"dest": "lam", "required": True, "help": "comma-separated coefficients"})],
-         (GUARANTEED_ONE, POSSIBLE_EXCEPTION)),
-        ("real", _cmd_real, "realness-by-order predicates",
-         [("--group", {"choices": ("sl", "su"), "required": True}),
-          ("--order", {"type": int, "required": True}), ("--q", {"type": int, "required": True})], None),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        for flag, options in arguments:
-            p.add_argument(flag, **options)
-        p.add_argument("--json", action="store_true")
-        if expect:
-            p.add_argument("--expect", choices=expect)
-        p.set_defaults(fn=fn, expect=None, mismatch_exit=1)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", choices=SUITE_NAMES, required=True)
-    p.add_argument("--max-n", type=int, default=None)
-    p.set_defaults(fn=_cmd_verify, json=True, expect=True, mismatch_exit=3)  # a report, in JSON; a failed one exits 3
+    for name, (_, help_text, _, _) in _COMMANDS.items():
+        _fill(sub.add_parser(name, help=help_text), name)
     return parser
 
 
-@cache
+@lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call (not at import) and then reused."""
+    """The full parser, built on the first call (not at import) and then
+    reused; only help, argv that names no command and leftover tokens need it."""
     return build_parser()
+
+
+@lru_cache(maxsize=len(_COMMANDS))
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command, as the full parser's subparser for it."""
+    return _fill(argparse.ArgumentParser(prog=f"sp2n {name}"), name)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed in one pass: by its command's parser when argv[0] names
+    one, with leftover tokens refused in the full parser's words."""
+    if not argv or argv[0] not in _COMMANDS:
+        return _parser().parse_args(argv)
+    args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
+    if extras:
+        _parser().error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def cli_main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -29,7 +29,7 @@ from itertools import combinations_with_replacement, product
 from math import comb, gcd, lcm, prod
 from operator import mul
 
-from .arith import block_multisets, charge, totient
+from .arith import block_multisets, charge, refuse_too_deep, totient
 from .weights import EpsWeight, WeightSet, _Value, same_rank
 
 
@@ -208,8 +208,12 @@ def _zero(forms: tuple[tuple[int, tuple[int, ...]], ...], orbit: tuple[int, ...]
 
 def _zero_in(ws: WeightSet, forms: tuple[tuple[int, tuple[int, ...]], ...]) -> bool:
     """Whether some weight of ws makes every form vanish, orbit by orbit,
-    against one work tally per call."""
-    return _tallied(any, (_zero(forms, orbit) for orbit in ws.orbits))  # consumed inside the tally
+    against one work tally per call.  `_zero` nests one call per form, so
+    forms past the interpreter's recursion limit are refused as over the work limit."""
+    try:
+        return _tallied(any, (_zero(forms, orbit) for orbit in ws.orbits))  # consumed inside the tally
+    except RecursionError:
+        refuse_too_deep(f"the {len(forms)} forms of the zero test")
 
 
 def trivial_constituent(ws: WeightSet, shape: TorusShape) -> bool:

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from math import comb
 from pathlib import Path
@@ -9,6 +12,7 @@ import pytest
 
 import sp2n.arith
 import sp2n.cli
+import sp2n.tori
 from sp2n.cli import cli_main
 from sp2n.harness import SuiteReport
 from sp2n.reps import weight_set
@@ -131,6 +135,7 @@ def test_verify_cap_with_no_case_exits_2(capsys, suite):
 
 
 _OMEGA_1_RANK_20 = ",".join(["1"] + ["0"] * 19)
+_OMEGA_1_RANK_1000 = ",".join(["1"] + ["0"] * 999)
 
 
 @pytest.mark.parametrize("argv, seconds", [
@@ -154,8 +159,12 @@ _OMEGA_1_RANK_20 = ",".join(["1"] + ["0"] * 19)
     (["tori", "10000000"], 0.1),
     # the partitions of sum <= 5999 into parts of size <= 2, refused after two of 6000 passes
     (["torus-trivial", "6000", ",".join(["0"] * 5998 + ["1", "0"]), "--torus=6000"], 0.1),
+    # the zero kernel nests one call per torus block, 1000 deep at least, past the default
+    # recursion limit of 1000 frames on every Python (3.13 still answers 400 blocks, 3.11 refuses 250)
+    (["torus-trivial", "1000", _OMEGA_1_RANK_1000, "--torus=" + ",".join(["1"] * 1000)], 1),
+    (["torus-trivial", "1000", _OMEGA_1_RANK_1000, "--torus=" + ",".join(["-1"] * 999 + ["1"])], 1),
 ], ids=["element", "element-picks", "tori", "weights", "weights-11", "zero-kernel", "zero-kernel-wide",
-        "weights-delta-10000000", "tori-10000000", "partitions-rank-6000"])
+        "weights-delta-10000000", "tori-10000000", "partitions-rank-6000", "zero-kernel-deep", "zero-kernel-deep-minus"])
 def test_work_limit_exceeded_exits_4(capsys, argv, seconds):
     started = time.perf_counter()
     assert cli_main(argv) == 4
@@ -163,6 +172,14 @@ def test_work_limit_exceeded_exits_4(capsys, argv, seconds):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "work limit" in captured.err
     assert "Traceback" not in captured.err and not captured.out
+
+
+def test_zero_kernel_answers_200_blocks(capsys):
+    # 200 nested forms from cold caches, within the recursion limit on every Python
+    sp2n.tori._zero.cache_clear()
+    omega_1 = ",".join(["1"] + ["0"] * 199)
+    assert cli_main(["torus-trivial", "200", omega_1, "--torus=" + ",".join(["1"] * 200), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"decision": "yes", "citations": ["direct"], "fallback_used": True}
 
 
 def test_element_top_fundamental_rank_20_answers(capsys):
@@ -212,18 +229,74 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _clear_parsers():
+    sp2n.cli._parser.cache_clear()
+    sp2n.cli._command_parser.cache_clear()
+
+
 def test_parser_reused_across_calls():
     ok = ["unisingular", "8", "1,0,0,0,0,0,0,1", "--json"]
     bad = ["unisingular", "8", "--expect", "maybe"]
     fresh = []
     for argv in (ok, bad, ok):
-        sp2n.cli._parser.cache_clear()
+        _clear_parsers()
         fresh.append(_run(argv))
     reused = [_run(argv) for argv in (ok, bad, ok)]  # the usage error goes to the stream set at call time
     assert reused == fresh
     assert reused[0][0] == 0 and reused[0] == reused[2]
     code, out, err = reused[1]
     assert code == 2 and not out and err.startswith("usage: sp2n unisingular")
+
+
+def test_one_query_builds_only_its_command_parser():
+    _clear_parsers()
+    assert _run(["si", "7"])[0] == 0
+    assert sp2n.cli._command_parser.cache_info().currsize == 1
+    assert sp2n.cli._parser.cache_info().currsize == 0  # the full tree is not built
+    assert _run(["tori", "2", "--json"])[0] == 0
+    assert sp2n.cli._command_parser.cache_info().currsize == 2
+    assert sp2n.cli._parser.cache_info().currsize == 0
+    # one memo entry per command at most, and the full tree once
+    assert sp2n.cli._command_parser.cache_info().maxsize == len(sp2n.cli._COMMANDS)
+    assert sp2n.cli._parser.cache_info().maxsize == 1
+
+
+_ROUTED = [
+    [], ["bogus"], ["-h"], ["--help"], ["--json", "si", "7"], ["SI", "7"],
+    *([name, "-h"] for name in sp2n.cli._COMMANDS),
+    ["si"], ["weights", "2"], ["element", "1:3:-"], ["si", "x"],
+    ["unisingular", "8", "--expect", "maybe"],
+    ["torus-trivial", "2", "0,1", "--torus", "-1,1"],
+    ["si", "7", "extra"], ["tori", "2", "--json", "extra", "--more"],
+    ["real", "--group", "sl", "--order", "5", "--q", "2", "--bogus"],
+    ["si", "7", "--js"], ["si", "--", "7"], ["weights", "--", "2", "1,1"],
+    ["si", "7", "--json", "--json"], ["si", "7", "-h"],
+    ["unisingular", "3", "0,1,1", "--expect", "yes"],
+    ["branch", "--N=4", "--lambda=2,0,0", "--json"],
+    ["verify", "--suite", "nope"], ["verify", "--suite", "counterexamples"],
+]
+
+
+@pytest.mark.parametrize("argv", _ROUTED, ids=[" ".join(argv) or "-" for argv in _ROUTED])
+def test_routing_matches_the_full_parser(argv, monkeypatch):
+    # exit code, stdout and stderr as the full tree and one parse_args call give them,
+    # computed here so that each Python's own argparse texts are compared
+    routed = _run(argv)
+    monkeypatch.setattr(sp2n.cli, "_parse", lambda argv: sp2n.cli.build_parser().parse_args(argv))
+    assert routed == _run(argv)
+
+
+def test_module_entry_point():
+    env = {**os.environ, "PYTHONPATH": str(Path(sp2n.cli.__file__).parents[1])}
+
+    def sp2n_process(*argv):
+        return subprocess.run([sys.executable, "-m", "sp2n", *argv], capture_output=True, text=True, env=env)
+
+    done = sp2n_process("si", "7", "--json")
+    assert (done.returncode, done.stdout) == (0, '{"n": "7", "si": "3", "witness": ["1", "2", "4"]}\n')
+    assert sp2n_process("unisingular", "2", "1,0", "--expect", "yes").returncode == 1
+    done = sp2n_process()
+    assert done.returncode == 2 and not done.stdout and done.stderr.startswith("usage: sp2n")
 
 
 def test_real_large_orders(capsys):

@@ -139,6 +139,30 @@ def test_no_function_changes_a_module_level_container():
         assert not names & changed, (name, sorted(names & changed))
 
 
+def _memo_bounds(tree: ast.Module):
+    """(function name, bounded) for each function decorated with
+    functools.cache or lru_cache, bare or as an attribute; bounded unless
+    it is `cache` or an lru_cache with maxsize None."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        for deco in node.decorator_list:
+            func = deco.func if isinstance(deco, ast.Call) else deco
+            label = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if label not in ("cache", "lru_cache"):
+                continue
+            sizes = [*deco.args[:1], *(k.value for k in deco.keywords if k.arg == "maxsize")] \
+                if isinstance(deco, ast.Call) else []
+            unbounded = any(isinstance(v, ast.Constant) and v.value is None for v in sizes)
+            yield node.name, label == "lru_cache" and not unbounded
+
+
+def test_every_memo_is_bounded():
+    memos = {(name, fn): bounded for name, tree in SOURCES.items() for fn, bounded in _memo_bounds(tree)}
+    assert {("cli.py", "_parser"), ("cli.py", "_command_parser"), ("tori.py", "_zero")} <= set(memos)
+    assert all(memos.values()), sorted(memo for memo, bounded in memos.items() if not bounded)
+
+
 def test_only_cli_main_prints():
     # command handlers return their answer; cli_main prints it and picks the exit code
     printers = {
