@@ -96,6 +96,7 @@ def singer_cycle(n: int) -> SemisimpleElement:
     return SemisimpleElement(((n, 2**n + 1, -1),))
 
 
+@lru_cache(maxsize=2048)  # every element of ranks <= 10, 1,620 of them
 def gamma_graph(g: SemisimpleElement) -> GammaGraph:
     blocks = g.blocks
     k = len(blocks)

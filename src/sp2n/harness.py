@@ -15,7 +15,7 @@ import json
 import time
 from itertools import combinations, product
 from math import gcd
-from operator import mul
+from operator import getitem, mul
 
 from .branching import (
     eps_restrict,
@@ -39,11 +39,12 @@ from .elements import (
     omega_n_eigenvalue_orders,
     singer_height,
     singer_height_fast,
-    to_torus_element,
 )
 from .reps import ModuleKind, has_zero_weight, minkowski_sum, weight_set, zero_in_weight_set
 from .tori import (
     TorusShape,
+    _canonical,
+    _coefficients,
     block_sums,
     enumerate_shapes,
     factor_orders,
@@ -52,7 +53,6 @@ from .tori import (
     unisingular_on_torus,
     value_mask,
     zero_at,
-    zero_form,
 )
 from .weights import (
     Weight,
@@ -235,19 +235,28 @@ def _suite_th2(max_n: int):
 
 
 def _element_forms(n: int):
-    """The element oracles' reference route at rank n: each element with
-    its generator tuples us, each paired with the canonical form of its
-    embedding, `zero_form(to_torus_element(g, us))`, in enumeration order."""
-    return [(g, [(us, zero_form(to_torus_element(g, us))) for us in generator_tuples(g)])
-            for g in enumerate_elements(n)]
+    """Each element of rank n with its generator tuples us, in enumeration
+    order, each paired with its canonical form.  The coefficients are built
+    once per element: with M the element's order, a block (d, o) at the
+    unit u takes `_coefficients(M, d, o, u)`, and a tuple's form is
+    `_canonical(M, c)` of its blocks' coefficients c joined.  That is
+    `zero_form(to_torus_element(g, us))`, the torus route the tests keep as
+    this one's reference, without a torus built per tuple."""
+    out = []
+    for g in enumerate_elements(n):
+        M = g.order
+        at = [{u: _coefficients(M, d, o, u) for u in range(1, o + 1) if gcd(u, o) == 1} for d, o, _ in g.blocks]
+        out.append((g, [(us, _canonical(M, sum(map(getitem, at, us), ()))) for us in generator_tuples(g)]))
+    return out
 
 
 def _suite_ff2(max_n: int):
     """The predicted eigenvalue orders of L(w_n) at each element against the
     orders realized over the w_n orbit at every generator tuple.  Those
     orders m / gcd(m, c . v) depend on the tuple's canonical form (m, c)
-    only, as the orbit of all sign vectors v absorbs its signs and order,
-    so they are computed once per distinct form of a rank."""
+    only, as listed by `_element_forms`: the orbit of all sign vectors v
+    absorbs its signs and order, so they are computed once per distinct
+    form of a rank."""
     for n in range(1, max_n + 1):
         orbit = list(weyl_orbit(to_eps(fundamental(n, n))).member_coords())
         realized_at = {}  # canonical form -> the sorted orders realized over the orbit
@@ -264,13 +273,13 @@ def _suite_ff2(max_n: int):
 def _element_vs_direct(max_n: int):
     """Closed-form per-element verdicts for top-coefficient weights against
     direct evaluation over every generator choice.  At each generator tuple
-    the element's values are one linear form (`zero_form`), listed once per
-    rank by `_element_forms`, the route ff2 reads too; whether some weight
-    of L(w) vanishes there is the per-orbit zero test `zero_at`, which lists
-    no member.  It is a function of (ws, form) alone, and the tuples of a
-    rank share few forms (2^n of them at rank n), so each weight asks it
-    once per distinct form and every tuple is compared with the answer for
-    its own form."""
+    the element's values are one linear form, whose canonical form
+    `_element_forms` lists once per rank (ff2 reads the same list); whether
+    some weight of L(w) vanishes there is the per-orbit zero test `zero_at`,
+    which lists no member.  It is a function of (ws, form) alone, and the
+    tuples of a rank share few forms (2^n of them at rank n), so each weight
+    asks it once per distinct form and every tuple is compared with the
+    answer for its own form."""
     for n in range(1, max_n + 1):
         elements = _element_forms(n)
         distinct = {form for _, forms in elements for _, form in forms}

@@ -16,9 +16,12 @@ torus (`trivial_constituent`) or vanishes at one element (`zero_at`), go
 through one cached per-orbit kernel that follows only residue 0, form by
 form.
 `zero_forms` lists the distinct canonical forms of the elements of a torus
-or of an element's generator choices, each tested once by `zero_at`;
-`eval_coefficients`, the oracles' route, writes a value at a torus element
-in canonical form as a dot product with the epsilon coordinates.
+or of an element's generator choices, each tested once by `zero_at`.  Both
+it and the element oracles build a block's coefficients at one value with
+`_coefficients`.  `eval_coefficients` writes a value at a torus element in
+canonical form as a dot product with the epsilon coordinates; with
+`zero_form` and `elements.to_torus_element` it is the reference route that
+the tests hold those forms to.
 """
 
 from collections import Counter
@@ -237,6 +240,14 @@ def _canonical(L: int, c: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return L // g, tuple(sorted(min(x, L - x) // g for x in c))
 
 
+def _coefficients(M: int, d: int, o: int, v: int) -> tuple[int, ...]:
+    """The coefficients (M / o) * v * 2^j mod M, j < d, of a cyclic block
+    (d, o) at the value v, for M a multiple of o: a weight takes the value
+    sum(c_j * mu_j) mod M there, so `_canonical(M, c)` of the blocks'
+    coefficients joined is the element's `zero_form`."""
+    return tuple((M // o * v << j) % M for j in range(d))
+
+
 def zero_forms(blocks: Iterable[tuple[int, int]], units: bool) -> list[tuple[int, tuple[int, ...]]]:
     """The distinct canonical forms (`zero_form`), sorted, of the elements of
     a product of cyclic blocks (d, o): a block takes the values v modulo o,
@@ -251,7 +262,7 @@ def zero_forms(blocks: Iterable[tuple[int, int]], units: bool) -> list[tuple[int
     types = Counter(blocks)
     charge(sum(d * (totient(o) if units else o) for d, o in types), "block coefficients")
     M, n = lcm(*(o for _, o in types)), sum(d * r for (d, _), r in types.items())
-    folded = [(sorted({tuple(sorted(min(x, M - x) for x in [(M // o * v << j) % M for j in range(d)]))
+    folded = [(sorted({tuple(sorted(min(x, M - x) for x in _coefficients(M, d, o, v)))
                        for v in range(o) if not units or gcd(v, o) == 1}), r) for (d, o), r in types.items()]
     charge(prod(comb(len(f) + r - 1, r) for f, r in folded) * n, f"form picks times rank {n}")
     picks = product(*(combinations_with_replacement(f, r) for f, r in folded))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from sp2n import harness, reps, tori, weights
+from sp2n import elements, harness, reps, tori, weights
 from sp2n.criteria import NO, YES, Verdict
 from sp2n.elements import build_element, enumerate_elements, generator_tuples, parse_element, to_torus_element
 from sp2n.harness import SUITE_NAMES, run_suite
@@ -261,6 +261,29 @@ def test_element_oracle_asks_once_per_weight_and_form(cap, cases, calls, monkeyp
     tori._zero.cache_clear()
     assert harness.check_element_vs_direct(cap) == (cases, [])
     assert len(asked) == len(set(asked)) == calls
+
+
+def test_element_forms_match_the_torus_embedding():
+    # the reference route: at every generator tuple of ranks <= 7, the form
+    # `_element_forms` builds from the element's coefficients is the canonical
+    # form of the tuple's embedding into a compatible torus
+    tuples = 0
+    for n in range(1, 8):
+        for g, forms in harness._element_forms(n):
+            assert [us for us, _ in forms] == list(generator_tuples(g))
+            for us, form in forms:
+                assert form == tori.zero_form(to_torus_element(g, us)), (g, us)
+            tuples += len(forms)
+    assert tuples == 8137
+
+
+def test_element_oracle_builds_each_graph_once():
+    # `element_has_one` reads the coprimality graph of an element at every
+    # weight; from a cold cache the 77 elements of ranks <= 5 build it once each
+    elements.gamma_graph.cache_clear()
+    assert harness.check_element_vs_direct(5) == (10121, [])
+    info = elements.gamma_graph.cache_info()
+    assert (info.misses, info.hits + info.misses) == (77, 844)
 
 
 def test_element_fallback_keys_are_pinned(monkeypatch):

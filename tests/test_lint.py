@@ -159,7 +159,8 @@ def _memo_bounds(tree: ast.Module):
 
 def test_every_memo_is_bounded():
     memos = {(name, fn): bounded for name, tree in SOURCES.items() for fn, bounded in _memo_bounds(tree)}
-    assert {("cli.py", "_parser"), ("cli.py", "_command_parser"), ("tori.py", "_zero")} <= set(memos)
+    assert {("cli.py", "_parser"), ("cli.py", "_command_parser"), ("elements.py", "gamma_graph"),
+            ("tori.py", "_zero")} <= set(memos)
     assert all(memos.values()), sorted(memo for memo, bounded in memos.items() if not bounded)
 
 
