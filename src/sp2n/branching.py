@@ -31,12 +31,6 @@ class LinearWeight(_Value):
             raise ValueError("coefficients must be nonnegative")
         object.__setattr__(self, "coeffs", coeffs)
 
-    def __eq__(self, other):
-        return self.coeffs == other.coeffs if type(other) is LinearWeight else NotImplemented
-
-    def __hash__(self):
-        return hash((self.coeffs,))
-
     @property
     def ambient(self) -> int:
         """The matrix size N; weights live on SL_N."""

@@ -26,15 +26,6 @@ class Verdict(_Value):
         object.__setattr__(self, "citations", citations)
         object.__setattr__(self, "fallback_used", fallback_used)
 
-    def __eq__(self, other):
-        if type(other) is not Verdict:
-            return NotImplemented
-        return (self.decision == other.decision and self.citations == other.citations
-                and self.fallback_used == other.fallback_used)
-
-    def __hash__(self):
-        return hash((self.decision, self.citations, self.fallback_used))
-
     def to_dict(self) -> dict:
         return {
             "decision": self.decision,

@@ -53,12 +53,6 @@ class SemisimpleElement(_Value):
                 raise ValueError(error)
         object.__setattr__(self, "blocks", blocks)
 
-    def __eq__(self, other):
-        return self.blocks == other.blocks if type(other) is SemisimpleElement else NotImplemented
-
-    def __hash__(self):
-        return hash((self.blocks,))
-
     @property
     def rank(self) -> int:
         return sum(d for d, _, _ in self.blocks)

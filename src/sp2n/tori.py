@@ -56,12 +56,6 @@ class TorusShape(_Value):
                 raise ValueError(f"block sign must be +1 or -1, got {s}")
         object.__setattr__(self, "blocks", tuple(sorted(blocks, key=block_key)))
 
-    def __eq__(self, other):
-        return self.blocks == other.blocks if type(other) is TorusShape else NotImplemented
-
-    def __hash__(self):
-        return hash((self.blocks,))
-
     @property
     def rank(self) -> int:
         return sum(k for k, _ in self.blocks)
@@ -85,14 +79,6 @@ class TorusElement(_Value):
                 raise ValueError(f"exponent {m} out of range for factor order {o}")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "exponents", exponents)
-
-    def __eq__(self, other):  # a tuple compares equal shapes by identity first
-        if type(other) is not TorusElement:
-            return NotImplemented
-        return (self.shape, self.exponents) == (other.shape, other.exponents)
-
-    def __hash__(self):
-        return hash((self.shape, self.exponents))
 
     @property
     def order(self) -> int:

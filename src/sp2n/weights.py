@@ -15,8 +15,8 @@ are the partitions `arith.partitions_under` lists under prefix-sum bounds.
 A `WeightSet` holds each Weyl orbit as such a partition: its sorted magnitudes.
 
 The package's value types are plain `__slots__` classes on the shared base
-`_Value` defined here (immutable, repr, equality, hash, pickling); those built
-in inner loops write `__eq__` and `__hash__` on their named slots.
+`_Value` defined here (immutable, repr, pickling), which defines equality and
+hash once for all of them: type-strict, over the field tuple.
 """
 
 from collections import Counter
@@ -36,7 +36,7 @@ class _Value:
     __slots__ = ()
 
     def _fields(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__)
+        return tuple([getattr(self, f) for f in self.__slots__])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -67,12 +67,6 @@ class Weight(_Value):
         if len(coeffs) < 1:
             raise ValueError("rank must be at least 1")
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __eq__(self, other):
-        return self.coeffs == other.coeffs if type(other) is Weight else NotImplemented
-
-    def __hash__(self):
-        return hash((self.coeffs,))
 
     @property
     def rank(self) -> int:
@@ -114,12 +108,6 @@ class EpsWeight(_Value):
             raise ValueError("rank must be at least 1")
         object.__setattr__(self, "coords", coords)
 
-    def __eq__(self, other):
-        return self.coords == other.coords if type(other) is EpsWeight else NotImplemented
-
-    def __hash__(self):
-        return hash((self.coords,))
-
     @property
     def rank(self) -> int:
         return len(self.coords)
@@ -150,12 +138,6 @@ class WeightSet(_Value):
                 raise ValueError(f"{m} are not the sorted magnitudes of a weight of rank {rank}")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "orbits", tuple(sorted(orbits, key=_coeffs)))
-
-    def __eq__(self, other):
-        return self.rank == other.rank and self.orbits == other.orbits if type(other) is WeightSet else NotImplemented
-
-    def __hash__(self):
-        return hash((self.rank, self.orbits))
 
     @property
     def reps(self) -> tuple[Weight, ...]:  # the orbits' dominant weights, for display

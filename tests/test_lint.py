@@ -85,6 +85,21 @@ def test_every_private_function_is_referenced():
                 assert outside > 0, (name, node.name)
 
 
+def test_only_the_value_base_defines_equality_and_hash():
+    # every value type compares and hashes by its field tuple through weights._Value
+    names = ("__eq__", "__hash__")
+    defined = sorted(
+        (name, node.lineno, node.name)
+        for name, tree in SOURCES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in names
+    )
+    base = next(node for node in SOURCES["weights.py"].body if isinstance(node, ast.ClassDef) and node.name == "_Value")
+    in_base = sorted(("weights.py", node.lineno, node.name) for node in base.body
+                     if isinstance(node, ast.FunctionDef) and node.name in names)
+    assert len(in_base) == 2 and defined == in_base, defined
+
+
 def _by_function(node: ast.AST, owner: str | None = None):
     """(function name, node) for each node under node, named by its
     innermost enclosing function (None at module level)."""

@@ -13,12 +13,12 @@ from sp2n.criteria import FundamentalTwistException, HasOne, TensorCase, Verdict
 from sp2n.elements import GammaGraph, SemisimpleElement
 from sp2n.harness import SuiteReport
 from sp2n.tori import TorusElement, TorusShape
-from sp2n.weights import EpsWeight, Weight, WeightSet
-
-SHAPE = TorusShape(((1, -1), (2, 1)))
+from sp2n.weights import EpsWeight, Weight, WeightSet, _Value
 
 # (class, positional arguments, the same value by keyword with its fields in
-# canonical form, its repr)
+# canonical form, its repr); a field that is itself a value is built anew on
+# each side, so comparing the two goes through the inner value's __eq__, not
+# through the identity shortcut of tuple comparison
 VALUES = [
     (Weight, ((1, 0),), {"coeffs": (1, 0)}, "Weight(coeffs=(1, 0))"),
     (EpsWeight, ((1, 0),), {"coords": (1, 0)}, "EpsWeight(coords=(1, 0))"),
@@ -40,7 +40,8 @@ VALUES = [
     (GammaGraph, (2, frozenset({(0, 1)}), ()), {"vertices": 2, "edges": frozenset({(0, 1)}), "singular": ()},
      "GammaGraph(vertices=2, edges=frozenset({(0, 1)}), singular=())"),
     (TorusShape, (((1, -1), (2, 1)),), {"blocks": ((2, 1), (1, -1))}, "TorusShape(blocks=((2, 1), (1, -1)))"),
-    (TorusElement, (SHAPE, (2, 1)), {"shape": SHAPE, "exponents": (2, 1)},
+    (TorusElement, (TorusShape(((1, -1), (2, 1))), (2, 1)),
+     {"shape": TorusShape(((2, 1), (1, -1))), "exponents": (2, 1)},
      "TorusElement(shape=TorusShape(blocks=((2, 1), (1, -1))), exponents=(2, 1))"),
     (SuiteReport, ("si", 3, 1, [{"input": "n=3"}], ["note"], 0.5),
      {"suite": "si", "max_n": 3, "cases": 1, "failures": [{"input": "n=3"}], "notes": ["note"], "wall_time": 0.5},
@@ -56,6 +57,7 @@ def _ids(rows):
 @pytest.mark.parametrize("cls, args, kwargs, text", VALUES, ids=_ids(VALUES))
 def test_positional_and_keyword_construction_agree(cls, args, kwargs, text):
     a, b = cls(*args), cls(**kwargs)
+    assert not any(getattr(a, f) is getattr(b, f) for f in kwargs if isinstance(getattr(a, f), _Value))
     assert type(a) is cls and a == b and not a != b
     assert repr(a) == repr(b) == text
 
